@@ -10,12 +10,12 @@ from .connectivity import (
     min_root_separation,
 )
 from .errors import (
+    CertificateError,
     CyclelinkError,
     FalsifierError,
     GenerationError,
     Graph6Error,
     GraphError,
-    LiftError,
     NotMassedError,
     ResourceGuardError,
     UnsupportedError,
@@ -32,26 +32,19 @@ from .minor import (
     path_exists,
     verify_model,
 )
-from .reducer import (
-    DenseNeighborhood,
-    ReductionTrace,
-    dense_construct,
-    lift_model,
-    solve,
-)
+from .reducer import ReductionTrace, solve
 
 __all__ = [
+    "CertificateError",
     "ContractionTrace",
     "CycleLinkReport",
     "CyclelinkError",
-    "DenseNeighborhood",
     "ExtremalCertificate",
     "FalsifierError",
     "GenerationError",
     "Graph",
     "Graph6Error",
     "GraphError",
-    "LiftError",
     "MassedReport",
     "MinorModel",
     "NotMassedError",
@@ -63,13 +56,11 @@ __all__ = [
     "canonical_cyclic_orders",
     "complete_graph",
     "cycle_graph",
-    "dense_construct",
     "find_rooted_cycle_minor",
     "generate",
     "is_cycle_linked",
     "is_massed",
     "is_rigid",
-    "lift_model",
     "load_graph",
     "menger",
     "min_root_separation",

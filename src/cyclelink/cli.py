@@ -2,7 +2,9 @@
 
 Subcommands: check, cycle-linked, massed, solve, gen-extremal,
 verify-theorem, oracle-sweep.  Verdicts are JSON on stdout; exit codes:
-0 = positive answer, 1 = negative answer, 2 = input or usage error.
+0 = positive answer, 1 = negative answer, 2 = input or usage error,
+3 = crash (an internal fault or a failed certificate self-check; the
+traceback goes to stderr and stdout carries {"error": ...}).
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import harness
 from .connectivity import is_massed
 from .errors import (
+    CertificateError,
     CyclelinkError,
     FalsifierError,
-    GenerationError,
     Graph6Error,
     GraphError,
     NotMassedError,
@@ -29,6 +32,7 @@ from .reducer import ReductionTrace, solve
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
+EXIT_CRASH = 3
 
 
 def _emit(obj) -> None:
@@ -89,7 +93,8 @@ def cmd_solve(args) -> int:
     if isinstance(result, MinorModel):
         _emit({"verdict": "model", "model": result.to_json_dict()})
         return EXIT_YES
-    assert isinstance(result, ExtremalCertificate)
+    if not isinstance(result, ExtremalCertificate):
+        raise CertificateError(f"solve returned {type(result).__name__}")
     _emit({"verdict": "extremal", "certificate": result.to_json_dict()})
     return EXIT_NO
 
@@ -174,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_massed)
 
-    p = sub.add_parser("solve", help="constructive solver with certificates")
+    p = sub.add_parser("solve", help="certifying solver for 5-massed instances")
     p.add_argument("--roots", required=True)
-    p.add_argument("--explain", action="store_true", help="stream rule firings to stderr")
+    p.add_argument("--explain", action="store_true", help="stream solver steps to stderr")
     p.add_argument("file")
     p.set_defaults(func=cmd_solve)
 
@@ -212,9 +217,20 @@ def main(argv=None) -> int:
     except Graph6Error as exc:
         _emit({"error": str(exc), "byte_offset": exc.offset})
         return EXIT_ERROR
-    except (GraphError, GenerationError, CyclelinkError, OSError) as exc:
+    except CertificateError as exc:
+        return _crash(exc)  # a failed self-check is the program's fault, not the input's
+    except (CyclelinkError, OSError) as exc:
         _emit({"error": str(exc)})
         return EXIT_ERROR
+    except Exception as exc:
+        return _crash(exc)
+
+
+def _crash(exc: Exception) -> int:
+    """A crash must never read as a "no": report it under its own status."""
+    traceback.print_exc()
+    _emit({"error": f"{type(exc).__name__}: {exc}"})
+    return EXIT_CRASH
 
 
 if __name__ == "__main__":

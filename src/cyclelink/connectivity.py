@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import GraphError, ResourceGuardError
+from .errors import CertificateError, GraphError, ResourceGuardError
 from .graph import Graph, bits, mask_of
 
 INF = 1 << 30
@@ -170,7 +170,8 @@ class _FlowNet:
                 path.append(v)
                 node = self._vin(v) + 1
             paths.append(path)
-        assert len(paths) == flow, (len(paths), flow)
+        if len(paths) != flow:
+            raise CertificateError(f"extracted {len(paths)} paths from a flow of {flow}")
         return [self._shorten(p) for p in paths]
 
     def _shorten(self, path: list[int]) -> list[int]:
@@ -209,7 +210,8 @@ def menger(g: Graph, sources, sinks, k: int):
     if flow >= k:
         return PathSystem(tuple(tuple(p) for p in net.extract_paths(flow)[:k]))
     sep = net.separation()
-    assert sep.order == flow, (sep.order, flow)
+    if sep.order != flow:
+        raise CertificateError(f"separation of order {sep.order} for a flow of {flow}")
     return sep
 
 

@@ -37,16 +37,8 @@ class GenerationError(CyclelinkError):
     """Extremal generator could not realize or validate a spec."""
 
 
-class DenseNeighborhoodError(CyclelinkError):
-    """A dense-neighborhood invariant failed; names the violated clause."""
-
-    def __init__(self, clause):
-        super().__init__(f"dense neighborhood invariant violated: {clause}")
-        self.clause = clause
-
-
-class LiftError(CyclelinkError):
-    """A model could not be lifted back through a reduction step."""
+class CertificateError(CyclelinkError):
+    """An emitted model or certificate failed its own re-check."""
 
 
 class FalsifierError(CyclelinkError):

@@ -11,7 +11,6 @@ import itertools
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from ._oracle import naive_rooted_cycle_minor
 from .connectivity import PathSystem, menger
@@ -132,6 +131,8 @@ def verify_theorem(
     workers = _worker_count()
     work = [(g6, roots) for _, _, _, g6, roots in tasks]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_check_instance, work))
     else:

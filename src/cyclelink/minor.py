@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import GraphError, UnsupportedError
+from .errors import CertificateError, GraphError, UnsupportedError
 from .graph import Graph, bits, mask_of
 
 ENGINE_LIMIT = 8  # max number of roots the search accepts
@@ -118,7 +118,8 @@ def find_rooted_cycle_minor(g: Graph, seq) -> MinorModel | None:
     model = MinorModel(seq, tuple(frozenset(bits(bm)) for bm in found))
     model = _minimize(g, seq, model)
     check = verify_model(g, seq, model)
-    assert check, check.reason
+    if not check:
+        raise CertificateError(f"engine model fails verification: {check.reason}")
     return model
 
 

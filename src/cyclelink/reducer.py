@@ -1,43 +1,29 @@
-"""Proof-driven constructive solver for rooted C5-minors.
+"""Certifying solver for rooted C5-minors on 5-massed instances.
 
-Given (G, x1..xk) with k <= 5 and (G, X) 5-massed, solve() tries the
-reduction rules in a fixed order -- rigid-separation splitting, dense
-edge contraction, dense-neighborhood construction -- each with certified
-lift-back, and always has the exhaustive engine as a complete fallback.
-Rules are speculative: a recursive miss never concludes "no model"; only
-the exact engine does.  Every emitted answer is re-verified on the
-original graph before return.
+Given (G, x1..xk) with 3 <= k <= 5 and (G, X) 5-massed, solve() runs the
+exact engine.  A "yes" is the engine's minimized model; a "no" with k = 5
+must be a member of the tight obstruction family, so it is answered with
+an ExtremalCertificate.  Anything else contradicts the dichotomy and is
+surfaced as a replayable falsifier.  Every answer is re-verified on the
+input graph before return.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .connectivity import PathSystem, Separation, is_massed, is_rigid, menger
-from .errors import (
-    DenseNeighborhoodError,
-    FalsifierError,
-    GraphError,
-    LiftError,
-    NotMassedError,
-)
-from .extremal import ExtremalCertificate, recognize
-from .graph import Graph, bits, mask_of
-from .minor import (
-    MinorModel,
-    find_rooted_cycle_minor,
-    is_cycle_linked,
-    verify_model,
-)
-
-MAX_RIGID_ORDER = 5
+from .connectivity import is_massed
+from .errors import CertificateError, FalsifierError, GraphError, NotMassedError
+from .extremal import recognize
+from .graph import Graph
+from .io6 import to_graph6
+from .minor import find_rooted_cycle_minor, verify_model
 
 
 @dataclass
 class ReductionTrace:
-    """Audit log of rule firings; serializes to JSON for --explain."""
+    """Audit log of the solver's steps; serializes to JSON for --explain."""
 
     steps: list[dict] = field(default_factory=list)
 
@@ -48,310 +34,7 @@ class ReductionTrace:
         return json.dumps({"steps": self.steps})
 
 
-@dataclass(frozen=True)
-class DenseNeighborhood:
-    """The closed neighborhood H = G[N[a]] of a low-degree vertex, with
-    the density invariants asserted at construction."""
-
-    apex: int
-    h: Graph
-    roots_in_x: frozenset[int]  # V(H) ∩ X
-
-    @classmethod
-    def build(cls, g: Graph, a: int, x) -> "DenseNeighborhood":
-        xset = frozenset(x)
-        if a in xset:
-            raise DenseNeighborhoodError("apex must lie outside the root set")
-        hverts = {a} | set(g.neighbors(a))
-        h = g.induced(hverts)
-        if not 7 <= h.n <= 10:
-            raise DenseNeighborhoodError(f"|V(H)| = {h.n} outside [7, 10]")
-        if _has_clique(h.delete({a}), 4):
-            raise DenseNeighborhoodError("K4 inside H - a")
-        for v in hverts - xset:
-            if h.degree(v) < 6:
-                raise DenseNeighborhoodError(f"vertex {v} has H-degree {h.degree(v)} < 6")
-        in_x = hverts & xset
-        for v in in_x:
-            outside = len(set(h.neighbors(v)) - xset)
-            if outside < 2:
-                raise DenseNeighborhoodError(f"root {v} has {outside} H-neighbors outside X")
-            if outside + len(in_x) < 7:
-                raise DenseNeighborhoodError(
-                    f"root {v}: |N_H(x)\\X| + |V(H) ∩ X| = {outside + len(in_x)} < 7"
-                )
-        return cls(a, h, frozenset(in_x))
-
-
-def _has_clique(g: Graph, size: int) -> bool:
-    verts = [v for v in g.vertices() if g.degree(v) >= size - 1]
-    for combo in combinations(verts, size):
-        if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
-            return True
-    return False
-
-
-# reduction steps (lift_model dispatches on these)
-
-@dataclass(frozen=True)
-class ContractionStep:
-    graph_before: Graph
-    u: int  # surviving vertex
-    v: int  # absorbed vertex
-
-
-@dataclass(frozen=True)
-class SeparationStep:
-    graph_before: Graph
-    sep: Separation
-
-
-def lift_model(m: MinorModel, step) -> MinorModel:
-    """Transport a model valid after a reduction step back to the graph
-    before the step; the result is re-verified before return."""
-    if isinstance(step, ContractionStep):
-        lifted = _lift_contraction(m, step)
-    elif isinstance(step, SeparationStep):
-        lifted = _lift_separation(m, step)
-    else:
-        raise LiftError(f"unknown reduction step {step!r}")
-    check = verify_model(step.graph_before, m.roots, lifted)
-    if not check:
-        raise LiftError(f"lifted model fails verification: {check.reason}")
-    return lifted
-
-
-def _lift_contraction(m: MinorModel, step: ContractionStep) -> MinorModel:
-    sets = []
-    for bs in m.branch_sets:
-        if step.u in bs:
-            bs = bs | {step.v}  # connected via the contracted edge uv
-        sets.append(bs)
-    return MinorModel(m.roots, tuple(sets))
-
-
-def _lift_separation(m: MinorModel, step: SeparationStep) -> MinorModel:
-    """Replace uses of virtual A∩B clique edges by disjoint paths routed
-    through B∖A in the original graph."""
-    g = step.graph_before
-    middle = step.sep.middle
-    b_free = mask_of(step.sep.b_side - step.sep.a_side)
-    k = len(m.roots)
-    sets = [set(bs) for bs in m.branch_sets]
-
-    pairs: list[tuple[int, int, int]] = []  # (set index, u, v) needing a real path
-    # adjacency demands satisfied only by a virtual edge
-    for i in range(k):
-        j = (i + 1) % k
-        if g.edge_count_between(sets[i], sets[j]) > 0:
-            continue
-        cands = sorted(
-            (u, v)
-            for u in sets[i] & middle
-            for v in sets[j] & middle
-            if u != v and not g.has_edge(u, v)
-        )
-        if not cands:
-            raise LiftError(f"demand {i}-{j} unsatisfiable without a virtual edge")
-        pairs.append((i, cands[0][0], cands[0][1]))
-    # internal connectivity that relied on virtual edges
-    for i in range(k):
-        comps = _components_within(g, sets[i])
-        while len(comps) > 1:
-            joins = sorted(
-                (u, v)
-                for u in comps[0] & middle
-                for c in comps[1:]
-                for v in c & middle
-                if not g.has_edge(u, v)
-            )
-            if not joins:
-                raise LiftError(f"branch set {i} cannot be reconnected in G")
-            pairs.append((i, joins[0][0], joins[0][1]))
-            merged = {x for c in comps for x in c}
-            comps = [merged]  # interiors will supply the connections
-    if not pairs:
-        return MinorModel(m.roots, tuple(frozenset(s) for s in sets))
-
-    used = mask_of(v for s in sets for v in s)
-    routed = _route_disjoint(g, [(u, v) for _, u, v in pairs], b_free & ~used)
-    if routed is None:
-        raise LiftError("could not route disjoint replacement paths through B")
-    for (i, _, _), interior in zip(pairs, routed):
-        sets[i].update(interior)
-    return MinorModel(m.roots, tuple(frozenset(s) for s in sets))
-
-
-def _components_within(g: Graph, s: set[int]) -> list[set[int]]:
-    return g.induced(s).components()
-
-
-def _route_disjoint(g: Graph, pairs, allowed: int):
-    """Exact search for pairwise disjoint u-v paths with interiors inside
-    ``allowed``; returns one interior list per pair or None."""
-    if not pairs:
-        return []
-    (u, v), rest = pairs[0], pairs[1:]
-    for interior in _interiors(g, u, v, allowed):
-        sub = _route_disjoint(g, rest, allowed & ~mask_of(interior))
-        if sub is not None:
-            return [interior] + sub
-    return None
-
-
-def _interiors(g: Graph, u: int, v: int, allowed: int):
-    stack: list[int] = []
-
-    def extend(frontier: int, remaining: int):
-        for w in bits(frontier & remaining):
-            stack.append(w)
-            if g.has_edge(w, v):
-                yield list(stack)
-            yield from extend(g.adj_mask(w), remaining & ~(1 << w))
-            stack.pop()
-
-    yield from extend(g.adj_mask(u), allowed)
-
-
-# dense-neighborhood construction (the small dense subgraph stage)
-
-def dense_construct(dn: DenseNeighborhood, xprime) -> MinorModel:
-    """Rooted cycle minor inside H, roots xprime (apex excluded).
-
-    Tries the explicit constructions first -- the apex path for t=2, the
-    path-plus-apex triangle for t=3, the shared-neighbor and connected-U
-    shapes for t=4, the singleton-U shape for t=5 -- then falls back to
-    exact search on H, which is tiny.
-    """
-    h, a = dn.h, dn.apex
-    seq = tuple(xprime)
-    t = len(seq)
-    if not 2 <= t <= 5:
-        raise GraphError(f"dense_construct supports 2..5 roots, got {t}")
-    if a in seq:
-        raise GraphError("apex cannot be a root")
-    for v in seq:
-        h._check(v)
-    if not dn.roots_in_x <= set(seq):
-        raise GraphError("roots must contain every original root inside H")
-
-    if t == 2:
-        # x1 - a - x2 is always present: a is adjacent to all of H
-        from .minor import path_exists
-
-        if not path_exists(h, seq[0], seq[1]):
-            raise GraphError("apex path missing; H invariants must be broken")
-        return MinorModel(seq, (frozenset({seq[0]}), frozenset({seq[1], a})))
-
-    candidates = _dense_templates(h, a, seq, t)
-    for model in candidates:
-        if verify_model(h, seq, model):
-            return model
-    model = find_rooted_cycle_minor(h, seq)
-    if model is None:
-        raise DenseNeighborhoodError(
-            "no rooted cycle minor in H; global preconditions do not hold"
-        )
-    return model
-
-
-def _dense_templates(h: Graph, a: int, seq, t: int):
-    u_mask = h.vertex_mask & ~mask_of(seq) & ~(1 << a)
-    u_set = sorted(bits(u_mask))
-    out = []
-    if t == 3:
-        # a path between two roots avoiding {a, third root}, plus {x3, a}
-        for k in range(3):
-            i, j = (k + 1) % 3, (k + 2) % 3
-            avoid = mask_of([a, seq[k]])
-            region = h.reach_mask(1 << seq[i], h.vertex_mask & ~avoid)
-            if region >> seq[j] & 1:
-                path = _shortest_path(h, seq[i], seq[j], h.vertex_mask & ~avoid)
-                out.append(
-                    MinorModel(
-                        seq,
-                        _sets_for(seq, {
-                            i: set(path) - {seq[j]},
-                            j: {seq[j]},
-                            k: {seq[k], a},
-                        }),
-                    )
-                )
-    elif t == 4:
-        for u in u_set:
-            if len(set(h.neighbors(u)) & set(seq)) >= 3:
-                # u merges with one root; a with the opposite one
-                for i in range(4):
-                    out.append(
-                        MinorModel(
-                            seq,
-                            _sets_for(seq, {
-                                (i + 1) % 4: {seq[(i + 1) % 4], u},
-                                (i + 3) % 4: {seq[(i + 3) % 4], a},
-                            }),
-                        )
-                    )
-        if u_set and h.is_connected_mask(u_mask):
-            for i in range(4):
-                out.append(
-                    MinorModel(
-                        seq,
-                        _sets_for(seq, {
-                            (i + 1) % 4: {seq[(i + 1) % 4], a},
-                            (i + 3) % 4: {seq[(i + 3) % 4]} | set(u_set),
-                        }),
-                    )
-                )
-    elif t == 5 and len(u_set) == 1:
-        u = u_set[0]
-        for i in range(5):
-            if h.has_edge(seq[i], seq[(i + 1) % 5]):
-                out.append(
-                    MinorModel(
-                        seq,
-                        _sets_for(seq, {
-                            (i - 1) % 5: {seq[(i - 1) % 5], a},
-                            (i + 2) % 5: {seq[(i + 2) % 5], u},
-                        }),
-                    )
-                )
-    return out
-
-
-def _sets_for(seq, overrides: dict[int, set[int]]):
-    return tuple(
-        frozenset(overrides.get(i, {seq[i]})) for i in range(len(seq))
-    )
-
-
-def _shortest_path(h: Graph, u: int, v: int, allowed: int) -> list[int]:
-    prev = {u: u}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for z in sorted(bits(h.adj_mask(w) & allowed)):
-                if z not in prev:
-                    prev[z] = w
-                    if z == v:
-                        path = [v]
-                        while path[-1] != u:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append(z)
-        frontier = nxt
-    raise GraphError(f"no {u}-{v} path")
-
-
-# the solver
-
-def solve(
-    g: Graph,
-    seq,
-    trace: ReductionTrace | None = None,
-    *,
-    check_massed: bool = True,
-):
+def solve(g: Graph, seq, trace: ReductionTrace | None = None):
     """Find a verified MinorModel for (g, seq) or an ExtremalCertificate.
 
     Raises NotMassedError when (g, set(seq)) is not 5-massed, and
@@ -367,184 +50,26 @@ def solve(
         g._check(v)
     if trace is None:
         trace = ReductionTrace()
-    if check_massed:
-        report = is_massed(g, seq, 5)
-        if not report:
-            raise NotMassedError(report)
-
-    result = _solve(g, seq, trace, depth=0)
-    if isinstance(result, MinorModel):
-        check = verify_model(g, seq, result)
-        assert check, check.reason
-    else:
-        assert result.verify(g)
-    return result
-
-
-def _solve(g: Graph, seq, trace: ReductionTrace, depth: int):
-    if depth > g.n + 1:
-        return _fallback(g, seq, trace)
-    xset = frozenset(seq)
-
-    # rule 1: split off a rigid separation, recurse on the completed A-side
-    found = _find_rigid_separation(g, xset)
-    if found is not None:
-        sep = found
-        trace.add(rule="separation-split", separation=sep.to_json_dict())
-        reduced = g.induced(sep.a_side).add_edges(
-            (u, v) for u, v in combinations(sorted(sep.middle), 2)
-        )
-        inner = _attempt(reduced, seq, trace, depth)
-        if isinstance(inner, MinorModel):
-            try:
-                return lift_model(inner, SeparationStep(g, sep))
-            except LiftError as exc:
-                trace.add(rule="lift-failed", step="separation-split", error=str(exc))
-
-    # rule 2: contract the first edge violating the density conclusion
-    edge = _find_sparse_edge(g, xset)
-    if edge is not None:
-        u, v = edge
-        trace.add(rule="contraction", u=u, v=v)
-        inner = _attempt(g.contract(u, v), seq, trace, depth)
-        if isinstance(inner, MinorModel):
-            try:
-                return lift_model(inner, ContractionStep(g, u, v))
-            except LiftError as exc:
-                trace.add(rule="lift-failed", step="contraction", error=str(exc))
-
-    # rule 3: build the dense neighborhood of a low-degree vertex
-    model = _dense_rule(g, seq, trace)
-    if model is not None:
-        return model
-
-    return _fallback(g, seq, trace)
-
-
-def _attempt(reduced: Graph, seq, trace: ReductionTrace, depth: int):
-    """Speculative recursion: only a 5-massed reduced instance is pursued,
-    and only a model is useful (a miss proves nothing about the parent)."""
-    try:
-        report = is_massed(reduced, seq, 5)
-    except Exception as exc:  # resource guard etc.
-        trace.add(rule="recursion-skipped", reason=str(exc))
-        return None
+    report = is_massed(g, seq, 5)
     if not report:
-        trace.add(rule="recursion-skipped", reason="reduced instance not 5-massed")
-        return None
-    try:
-        return _solve(reduced, seq, trace, depth + 1)
-    except FalsifierError:
-        return None
+        raise NotMassedError(report)
 
-
-def _find_rigid_separation(g: Graph, xset: frozenset[int]) -> Separation | None:
-    verts = g.vertices()
-    for size in range(1, min(MAX_RIGID_ORDER, g.n - 1) + 1):
-        for S in combinations(verts, size):
-            sm = mask_of(S)
-            xm = mask_of(xset) & ~sm
-            b_free = 0
-            left = g.vertex_mask & ~sm
-            while left:
-                start = left & -left
-                comp = g.reach_mask(start, g.vertex_mask & ~sm)
-                left &= ~comp
-                if not comp & xm:
-                    b_free |= comp
-            if not b_free:
-                continue
-            b_side = frozenset(bits(b_free | sm))
-            a_side = frozenset(bits(g.vertex_mask & ~b_free))
-            sep = Separation(a_side, b_side)
-            try:
-                if is_rigid(g, xset, sep):
-                    return sep
-            except Exception:
-                continue
-    return None
-
-
-def _find_sparse_edge(g: Graph, xset: frozenset[int]) -> tuple[int, int] | None:
-    """First edge (ascending id pairs) violating the contraction-density
-    conclusion; returned with the root end first when one end is a root."""
-    for u, v in g.edges():
-        in_x = (u in xset) + (v in xset)
-        if in_x == 2:
-            continue
-        nu = g.adj_mask(u)
-        nv = g.adj_mask(v)
-        if in_x == 0:
-            if (nu & nv).bit_count() < 5:
-                return (u, v)
-        else:
-            root, other = (u, v) if u in xset else (v, u)
-            xm = mask_of(xset)
-            common_outside = ((nu & nv) & ~xm).bit_count()
-            other_roots = (g.adj_mask(other) & xm).bit_count()
-            if common_outside + other_roots < 6:
-                return (root, other)
-    return None
-
-
-def _dense_rule(g: Graph, seq, trace: ReductionTrace) -> MinorModel | None:
-    xset = frozenset(seq)
-    if _has_clique(g, 5):
-        trace.add(rule="falsifier-check", note="K5 present at dense-rule entry")
-    apex = next(
-        (v for v in g.vertices() if v not in xset and g.degree(v) < 10), None
-    )
-    if apex is None:
-        trace.add(rule="falsifier-check", note="no vertex outside X with degree < 10")
-        return None
-    try:
-        dn = DenseNeighborhood.build(g, apex, xset)
-    except DenseNeighborhoodError as exc:
-        trace.add(rule="dense-skipped", reason=str(exc))
-        return None
-    hverts = set(dn.h.vertices())
-    res = menger(g, set(seq), hverts, len(seq))
-    if isinstance(res, Separation):
-        trace.add(rule="dense-skipped", reason="no disjoint paths from X to V(H)")
-        return None
-    by_start = {p[0]: p for p in res.paths}
-    if set(by_start) != set(seq):
-        trace.add(rule="dense-skipped", reason="paths do not start at the roots")
-        return None
-    ordered = [by_start[x] for x in seq]
-    xprime = tuple(p[-1] for p in ordered)
-    if len(set(xprime)) != len(xprime) or dn.apex in xprime:
-        trace.add(rule="dense-skipped", reason="degenerate path endpoints")
-        return None
-    try:
-        hmodel = dense_construct(dn, xprime)
-    except (DenseNeighborhoodError, GraphError) as exc:
-        trace.add(rule="dense-skipped", reason=str(exc))
-        return None
-    trace.add(rule="dense-construction", apex=dn.apex, roots_in_h=list(xprime))
-    sets = []
-    for path, bs in zip(ordered, hmodel.branch_sets):
-        sets.append(frozenset(path) | bs)
-    model = MinorModel(tuple(seq), tuple(sets))
-    if verify_model(g, tuple(seq), model):
-        return model
-    trace.add(rule="dense-skipped", reason="composed model failed verification")
-    return None
-
-
-def _fallback(g: Graph, seq, trace: ReductionTrace):
     trace.add(rule="fallback-search")
     model = find_rooted_cycle_minor(g, seq)
     if model is not None:
+        check = verify_model(g, seq, model)
+        if not check:
+            raise CertificateError(f"solver model fails verification: {check.reason}")
         return model
     cert = recognize(g, set(seq)) if len(seq) == 5 else None
-    if cert is not None:
-        common = set(g.vertices())
-        for x in seq:
-            common &= set(g.neighbors(x))
-        trace.add(rule="certificate", common_root_neighbors=sorted(common))
-        return cert
-    from .io6 import to_graph6
-
-    trace.add(rule="falsifier", graph6=to_graph6(g), order=list(seq))
-    raise FalsifierError({"graph6": to_graph6(g), "order": list(seq)})
+    if cert is None:
+        artifact = {"graph6": to_graph6(g), "order": list(seq)}
+        trace.add(rule="falsifier", **artifact)
+        raise FalsifierError(artifact)
+    common = set(g.vertices())
+    for x in seq:
+        common &= set(g.neighbors(x))
+    trace.add(rule="certificate", common_root_neighbors=sorted(common))
+    if not cert.verify(g):
+        raise CertificateError("extremal certificate fails verification")
+    return cert

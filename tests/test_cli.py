@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from cyclelink.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
+import cyclelink.cli
+import cyclelink.reducer
+from cyclelink.cli import EXIT_CRASH, EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from cyclelink.graph import complete_graph, cycle_graph, path_graph
 from cyclelink.io6 import to_graph6
+from cyclelink.minor import ModelCheck
 
 
 def write_g6(tmp_path, g, name="g.g6"):
@@ -145,3 +151,35 @@ def test_unknown_vertex_is_an_error(tmp_path, capsys):
 def test_missing_file_is_an_error(capsys):
     code, payload, _ = run(capsys, "check", "--order", "0,1,2", "/nonexistent.g6")
     assert code == EXIT_ERROR and "error" in payload
+
+
+def test_crash_is_not_a_no(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("engine blew up")
+
+    monkeypatch.setattr(cyclelink.cli, "cmd_check", broken)
+    path = write_g6(tmp_path, cycle_graph(list(range(5))))
+    code, payload, err = run(capsys, "check", "--order", "0,1,2,3,4", path)
+    assert code == EXIT_CRASH
+    assert payload == {"error": "RuntimeError: engine blew up"}
+    assert "Traceback" in err and "engine blew up" in err
+
+
+def test_failed_self_check_is_a_crash(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cyclelink.reducer, "verify_model", lambda g, seq, m: ModelCheck(False, "forced")
+    )
+    path = write_g6(tmp_path, complete_graph(list(range(8))))
+    code, payload, _ = run(capsys, "solve", "--roots", "0,1,2,3,4", path)
+    assert code == EXIT_CRASH
+    assert payload["error"].startswith("CertificateError")
+
+
+def test_cli_import_skips_multiprocessing():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    probe = "import sys, cyclelink.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

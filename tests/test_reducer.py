@@ -3,156 +3,20 @@ import random
 
 import pytest
 
-from cyclelink.connectivity import Separation, is_massed
+import cyclelink.reducer
+from cyclelink.connectivity import is_massed
 from cyclelink.errors import (
-    DenseNeighborhoodError,
+    CertificateError,
     FalsifierError,
     GraphError,
-    LiftError,
     NotMassedError,
 )
 from cyclelink.extremal import ExtremalCertificate
 from cyclelink.graph import Graph, complete_graph, cycle_graph
 from cyclelink.harness import random_graph
-from cyclelink.minor import MinorModel, find_rooted_cycle_minor, verify_model
-from cyclelink.reducer import (
-    ContractionStep,
-    DenseNeighborhood,
-    ReductionTrace,
-    SeparationStep,
-    dense_construct,
-    lift_model,
-    solve,
-)
-
-
-def dense_host():
-    """Seven vertices: apex 0 and helpers 1, 2 joined to everything,
-    roots 3..6 pairwise nonadjacent.  Satisfies every neighborhood
-    invariant with X = {3, 4, 5, 6}."""
-    full = [0, 1, 2]
-    roots = [3, 4, 5, 6]
-    edges = [(u, v) for i, u in enumerate(full) for v in full[i + 1:]]
-    edges += [(u, r) for u in full for r in roots]
-    return Graph(range(7), edges), roots
-
-
-# --- lift_model ---------------------------------------------------------
-
-
-def test_lift_contraction():
-    c6 = cycle_graph(list(range(6)))
-    contracted = c6.contract(0, 1)
-    m = find_rooted_cycle_minor(contracted, (0, 3, 4))
-    assert m is not None
-    lifted = lift_model(m, ContractionStep(c6, 0, 1))
-    assert verify_model(c6, (0, 3, 4), lifted)
-    assert 1 in next(bs for bs in lifted.branch_sets if 0 in bs)
-
-
-def test_lift_separation_routes_virtual_edge():
-    g = Graph(range(6), [(0, 1), (1, 2), (0, 3), (2, 4), (3, 5), (4, 5)])
-    sep = Separation(frozenset({0, 1, 2, 3, 4}), frozenset({3, 4, 5}))
-    reduced = g.induced(sep.a_side).add_edges([(3, 4)])
-    model = MinorModel(
-        (0, 1, 2),
-        (frozenset({0, 3}), frozenset({1}), frozenset({2, 4})),
-    )
-    assert verify_model(reduced, (0, 1, 2), model)  # uses the virtual 3-4 edge
-    assert not verify_model(g, (0, 1, 2), model)  # invalid before lifting
-    lifted = lift_model(model, SeparationStep(g, sep))
-    assert verify_model(g, (0, 1, 2), lifted)
-    assert 5 in set().union(*lifted.branch_sets)
-
-
-def test_lift_separation_failure():
-    # vertex 5 only reaches one side of the middle: no replacement path
-    g = Graph(range(6), [(0, 1), (1, 2), (0, 3), (2, 4), (3, 5)])
-    sep = Separation(frozenset({0, 1, 2, 3, 4}), frozenset({3, 4, 5}))
-    model = MinorModel(
-        (0, 1, 2),
-        (frozenset({0, 3}), frozenset({1}), frozenset({2, 4})),
-    )
-    with pytest.raises(LiftError):
-        lift_model(model, SeparationStep(g, sep))
-
-
-def test_lift_rejects_unknown_step():
-    m = MinorModel((0, 1, 2), (frozenset({0}), frozenset({1}), frozenset({2})))
-    with pytest.raises(LiftError):
-        lift_model(m, object())
-
-
-# --- dense neighborhoods -------------------------------------------------
-
-
-def test_dense_neighborhood_build():
-    g, roots = dense_host()
-    dn = DenseNeighborhood.build(g, 0, set(roots))
-    assert dn.apex == 0 and dn.h.n == 7
-    assert dn.roots_in_x == frozenset(roots)
-
-
-def test_dense_neighborhood_rejects_k4():
-    k8 = complete_graph(list(range(8)))
-    with pytest.raises(DenseNeighborhoodError) as exc:
-        DenseNeighborhood.build(k8, 0, {5, 6, 7})
-    assert "K4" in str(exc.value)
-
-
-def test_dense_neighborhood_rejects_small():
-    star = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(DenseNeighborhoodError):
-        DenseNeighborhood.build(star, 0, set())
-    g, roots = dense_host()
-    with pytest.raises(DenseNeighborhoodError):
-        DenseNeighborhood.build(g, 3, set(roots))  # apex inside X
-
-
-def test_dense_construct_two_roots_uses_apex():
-    g, roots = dense_host()
-    built = DenseNeighborhood.build(g, 0, set(roots))
-    # drop the root bookkeeping so subsets of the roots are permitted
-    dn = DenseNeighborhood(apex=0, h=built.h, roots_in_x=frozenset())
-    m = dense_construct(dn, (3, 4))
-    assert verify_model(dn.h, (3, 4), m)
-    assert 0 in set().union(*m.branch_sets)
-
-
-def test_dense_construct_three_and_four_roots():
-    g, roots = dense_host()
-    built = DenseNeighborhood.build(g, 0, set(roots))
-    dn = DenseNeighborhood(apex=0, h=built.h, roots_in_x=frozenset())
-    for seq in [(3, 4, 5), (3, 4, 5, 6)]:
-        m = dense_construct(dn, seq)
-        assert verify_model(dn.h, seq, m)
-    # the built neighborhood insists on covering all of its roots
-    with pytest.raises(GraphError):
-        dense_construct(built, (3, 4, 5))
-    m = dense_construct(built, (3, 4, 5, 6))
-    assert verify_model(built.h, (3, 4, 5, 6), m)
-
-
-def test_dense_construct_five_roots_single_spare():
-    # five roots, apex, one spare vertex; one consecutive root pair adjacent
-    edges = [(0, v) for v in range(1, 7)]  # apex 0
-    edges += [(6, v) for v in range(1, 6)]  # spare 6
-    edges += [(1, 2), (3, 5), (2, 4)]
-    h = Graph(range(7), edges)
-    dn = DenseNeighborhood(apex=0, h=h, roots_in_x=frozenset())
-    m = dense_construct(dn, (1, 2, 3, 4, 5))
-    assert verify_model(h, (1, 2, 3, 4, 5), m)
-
-
-def test_dense_construct_validation():
-    g, roots = dense_host()
-    dn = DenseNeighborhood.build(g, 0, set(roots))
-    with pytest.raises(GraphError):
-        dense_construct(dn, (3,))
-    with pytest.raises(GraphError):
-        dense_construct(dn, (0, 3))  # apex as root
-    with pytest.raises(GraphError):
-        dense_construct(dn, (3, 4, 5)[:2] + (9,))
+from cyclelink.io6 import to_graph6
+from cyclelink.minor import MinorModel, ModelCheck, find_rooted_cycle_minor, verify_model
+from cyclelink.reducer import ReductionTrace, solve
 
 
 # --- solve ---------------------------------------------------------------
@@ -164,7 +28,8 @@ def test_solve_dense_graph_returns_model():
     result = solve(k8, (0, 1, 2, 3, 4), trace)
     assert isinstance(result, MinorModel)
     assert verify_model(k8, (0, 1, 2, 3, 4), result)
-    json.loads(trace.to_json())  # trace is valid JSON
+    assert trace.steps == [{"rule": "fallback-search"}]
+    assert json.loads(trace.to_json()) == {"steps": trace.steps}
 
 
 def test_solve_extremal_family(e0, e1, e2):
@@ -193,15 +58,26 @@ def test_solve_argument_validation():
         solve(k8, (0, 1, 1))
 
 
-def test_solve_falsifier_when_gate_is_skipped():
-    # a tree has no cycle minor at all; with the massed gate bypassed and
+def test_solve_falsifier_when_gate_is_skipped(monkeypatch):
+    # a tree has no cycle minor at all; with the massed gate forced open and
     # fewer than five roots there is no certificate either, so the solver
     # must surface a replayable falsifier artifact
+    monkeypatch.setattr(cyclelink.reducer, "is_massed", lambda g, seq, lam: True)
     p5 = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
+    trace = ReductionTrace()
     with pytest.raises(FalsifierError) as exc:
-        solve(p5, (0, 2, 4), check_massed=False)
+        solve(p5, (0, 2, 4), trace)
     art = exc.value.artifact
-    assert art["order"] == [0, 2, 4] and "graph6" in art
+    assert art["order"] == [0, 2, 4] and art["graph6"] == to_graph6(p5)
+    assert [s["rule"] for s in trace.steps] == ["fallback-search", "falsifier"]
+
+
+def test_solve_raises_when_model_fails_recheck(monkeypatch):
+    monkeypatch.setattr(
+        cyclelink.reducer, "verify_model", lambda g, seq, m: ModelCheck(False, "forced")
+    )
+    with pytest.raises(CertificateError, match="forced"):
+        solve(complete_graph(list(range(8))), (0, 1, 2, 3, 4))
 
 
 def test_solve_agrees_with_engine_on_random_massed():
@@ -216,14 +92,16 @@ def test_solve_agrees_with_engine_on_random_massed():
             continue
         seen += 1
         engine = find_rooted_cycle_minor(g, seq)
+        trace = ReductionTrace()
         try:
-            result = solve(g, seq)
+            result = solve(g, seq, trace)
         except FalsifierError:
             assert engine is None
             continue
         if isinstance(result, MinorModel):
-            assert engine is not None
+            assert result == engine
             assert verify_model(g, seq, result)
+            assert trace.steps == [{"rule": "fallback-search"}]
         else:
             assert engine is None
         if seen >= 40:
@@ -236,4 +114,4 @@ def test_trace_records_rule_firings(e1):
     trace = ReductionTrace()
     solve(g, roots, trace)
     rules = [s["rule"] for s in trace.steps]
-    assert "fallback-search" in rules
+    assert rules == ["fallback-search", "certificate"]
