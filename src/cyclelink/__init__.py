@@ -5,9 +5,7 @@ from .connectivity import (
     PathSystem,
     Separation,
     is_massed,
-    is_rigid,
     menger,
-    min_root_separation,
 )
 from .errors import (
     CertificateError,
@@ -21,7 +19,7 @@ from .errors import (
     UnsupportedError,
 )
 from .extremal import ExtremalCertificate, generate, recognize
-from .graph import ContractionTrace, Graph, complete_graph, cycle_graph, path_graph
+from .graph import Graph, complete_graph, cycle_graph, path_graph
 from .io6 import load_graph, parse_edge_list, parse_graph6, read_graph6_file, to_graph6
 from .minor import (
     CycleLinkReport,
@@ -36,7 +34,6 @@ from .reducer import ReductionTrace, solve
 
 __all__ = [
     "CertificateError",
-    "ContractionTrace",
     "CycleLinkReport",
     "CyclelinkError",
     "ExtremalCertificate",
@@ -60,10 +57,8 @@ __all__ = [
     "generate",
     "is_cycle_linked",
     "is_massed",
-    "is_rigid",
     "load_graph",
     "menger",
-    "min_root_separation",
     "parse_edge_list",
     "parse_graph6",
     "path_exists",

@@ -166,29 +166,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide one rooted cycle minor instance")
     p.add_argument("--order", required=True, help="comma-separated root order")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("cycle-linked", help="test cycle-linkedness of a root set")
     p.add_argument("--roots", required=True)
     p.add_argument("file")
-    p.set_defaults(func=cmd_cycle_linked)
 
     p = sub.add_parser("massed", help="check the (M1)/(M2) density conditions")
     p.add_argument("--lambda", dest="lam", required=True, help="rational, e.g. 5 or 11/2")
     p.add_argument("--roots", required=True)
     p.add_argument("file")
-    p.set_defaults(func=cmd_massed)
 
     p = sub.add_parser("solve", help="certifying solver for 5-massed instances")
     p.add_argument("--roots", required=True)
     p.add_argument("--explain", action="store_true", help="stream solver steps to stderr")
     p.add_argument("file")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen-extremal", help="generate an obstruction family member")
     p.add_argument("--spec", default="", help='components as "i:size,...", e.g. "1:3,2:3"')
     p.add_argument("-o", "--output", help="write graph6 plus a .json sidecar")
-    p.set_defaults(func=cmd_gen_extremal)
 
     p = sub.add_parser("verify-theorem", help="desk-scale cycle-linkedness replication")
     p.add_argument("--connectivity", type=int, required=True)
@@ -198,22 +193,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=5, help="root set size")
     p.add_argument("-o", "--output", help="write JSON-lines records here")
-    p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser("oracle-sweep", help="fast engine vs naive oracle agreement")
     p.add_argument("--corpus", required=True, help="graph6 file or directory of *.g6")
     p.add_argument("--k", default="3,4", help="comma-separated root counts")
     p.add_argument("--limit", type=int, help="cap graphs read per corpus file")
     p.add_argument("-o", "--output", help="write JSON-lines records here")
-    p.set_defaults(func=cmd_oracle_sweep)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_* function takes effect
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except Graph6Error as exc:
         _emit({"error": str(exc), "byte_offset": exc.offset})
         return EXIT_ERROR

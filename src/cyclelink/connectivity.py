@@ -1,10 +1,10 @@
 """Vertex-disjoint paths, separations, and the massed conditions.
 
-menger() is a unit-vertex-capacity max-flow: every vertex is split into
-an in/out pair with capacity one, terminal attachment edges get large
-capacity so a minimum cut is always a set of vertices.  Augmentation is
-BFS in ascending-id order, so returned paths and separations are
-deterministic.
+menger() finds disjoint paths by augmenting one path at a time in the
+vertex-split residual graph: each vertex has an entry and an exit joined
+by a unit-capacity arc, so paths share no vertex and a minimum cut is a
+set of vertices.  Each augmentation is a BFS that takes vertices in
+ascending order, so returned paths and separations are deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from math import comb
 from .errors import CertificateError, GraphError, ResourceGuardError
 from .graph import Graph, bits, mask_of
 
-INF = 1 << 30
 # refuse (M2) separator enumeration beyond this many candidate sets
 M2_ENUMERATION_LIMIT = 2_000_000
 
@@ -73,119 +72,36 @@ class PathSystem:
         return {"paths": [list(p) for p in self.paths]}
 
 
-class _FlowNet:
-    """Vertex-split unit-capacity flow network over one graph."""
-
-    def __init__(self, g: Graph, sources, sinks):
-        self.g = g
-        self.order = g.vertices()
-        self.idx = {v: i for i, v in enumerate(self.order)}
-        n = len(self.order)
-        self.S = 2 * n
-        self.T = 2 * n + 1
-        self.cap: dict[tuple[int, int], int] = {}
-        self.adj: dict[int, list[int]] = {i: [] for i in range(2 * n + 2)}
-        for v in self.order:
-            self._add(self._vin(v), self._vout(v), 1)
-            for w in g.neighbors(v):
-                self._add(self._vout(v), self._vin(w), INF)
-        for s in sorted(sources):
-            self._add(self.S, self._vin(s), INF)
-        for t in sorted(sinks):
-            self._add(self._vout(t), self.T, INF)
-        self.sources = frozenset(sources)
-        self.sinks = frozenset(sinks)
-
-    def _vin(self, v: int) -> int:
-        return 2 * self.idx[v]
-
-    def _vout(self, v: int) -> int:
-        return 2 * self.idx[v] + 1
-
-    def _add(self, a: int, b: int, c: int) -> None:
-        if (a, b) not in self.cap:
-            self.cap[(a, b)] = 0
-            self.cap[(b, a)] = self.cap.get((b, a), 0)
-            self.adj[a].append(b)
-            self.adj[b].append(a)
-        self.cap[(a, b)] += c
-
-    def augment(self) -> bool:
-        """One BFS augmenting path (ascending node order); True on success."""
-        prev = {self.S: self.S}
-        queue = [self.S]
-        while queue:
-            nxt = []
-            for a in queue:
-                for b in sorted(self.adj[a]):
-                    if b not in prev and self.cap.get((a, b), 0) > 0:
-                        prev[b] = a
-                        if b == self.T:
-                            node = self.T
-                            while node != self.S:
-                                p = prev[node]
-                                self.cap[(p, node)] -= 1
-                                self.cap[(node, p)] += 1
-                                node = p
-                            return True
-                        nxt.append(b)
-            queue = nxt
-        return False
-
-    def residual_reach(self) -> set[int]:
-        seen = {self.S}
-        queue = [self.S]
-        while queue:
-            a = queue.pop()
-            for b in self.adj[a]:
-                if b not in seen and self.cap.get((a, b), 0) > 0:
-                    seen.add(b)
-                    queue.append(b)
-        return seen
-
-    def extract_paths(self, flow: int) -> list[list[int]]:
-        """Decompose the flow into vertex sequences, then shorten each path
-        so its interior avoids both terminal sets."""
-        succ = {}
-        used_sources = []
-        for v in self.order:
-            out = self._vout(v)
-            for w in self.g.neighbors(v):
-                win = self._vin(w)
-                if self.cap.get((win, out), 0) > 0 and (out, win) in self.cap:
-                    # residual back-capacity means unit flow out->win
-                    succ.setdefault(out, []).append(win)
-        for s in sorted(self.sources):
-            units = self.cap.get((self._vin(s), self.S), 0)
-            for _ in range(units):
-                used_sources.append(s)
-        paths = []
-        for s in sorted(set(used_sources)):
-            path = [s]
-            node = self._vout(s)
-            while self.cap.get((self.T, node), 0) == 0:
-                nxts = succ[node]
-                win = nxts.pop(0)
-                v = self.order[win // 2]
-                path.append(v)
-                node = self._vin(v) + 1
-            paths.append(path)
-        if len(paths) != flow:
-            raise CertificateError(f"extracted {len(paths)} paths from a flow of {flow}")
-        return [self._shorten(p) for p in paths]
-
-    def _shorten(self, path: list[int]) -> list[int]:
-        last_src = max(i for i, v in enumerate(path) if v in self.sources)
-        path = path[last_src:]
-        first_sink = min(i for i, v in enumerate(path) if v in self.sinks)
-        return path[: first_sink + 1]
-
-    def separation(self) -> Separation:
-        reach = self.residual_reach()
-        a_side = {v for v in self.order if self._vin(v) in reach}
-        cut = {v for v in a_side if self._vout(v) not in reach}
-        b_side = (set(self.order) - a_side) | cut
-        return Separation(frozenset(a_side), frozenset(b_side))
+def _residual_bfs(adj: dict[int, int], sources: int, sinks: int, nxt: dict[int, int], used: int):
+    """Breadth-first search from the super-source over the vertex-split
+    residual graph.  Node 2v is v's entry and 2v+1 its exit; neighbors
+    are taken in ascending order.  Returns (pred, end, entries, exits):
+    pred maps each reached node to the node it was reached from (-1 for
+    the super-source), end is the first reached sink exit or None, and
+    entries/exits are the vertex masks of reached nodes."""
+    back = {w: u for u, w in nxt.items()}
+    pred = {2 * s: -1 for s in bits(sources)}
+    queue = list(pred)
+    entries, exits = sources, 0
+    for node in queue:  # the list grows while it is walked: a FIFO queue
+        v = node >> 1
+        if node & 1:
+            if sinks >> v & 1:
+                return pred, node, entries, exits
+            # edges out of v, plus the reversed v entry->exit arc if v is used
+            for w in bits((adj[v] | used & (1 << v)) & ~entries):
+                entries |= 1 << w
+                pred[2 * w] = node
+                queue.append(2 * w)
+        else:
+            # an unused v passes to its own exit; a used one only back
+            # along its path, unless the super-source feeds it
+            u = back.get(v) if used >> v & 1 else v
+            if u is not None and not exits >> u & 1:
+                exits |= 1 << u
+                pred[2 * u + 1] = node
+                queue.append(2 * u + 1)
+    return pred, None, entries, exits
 
 
 def menger(g: Graph, sources, sinks, k: int):
@@ -197,35 +113,53 @@ def menger(g: Graph, sources, sinks, k: int):
     """
     if k < 1:
         raise GraphError(f"k must be positive, got {k}")
-    src = set(sources)
-    snk = set(sinks)
-    if not src or not snk:
+    sm = g._check_set(sources)
+    tm = g._check_set(sinks)
+    if not sm or not tm:
         raise GraphError("menger needs nonempty source and sink sets")
-    g._check_set(src)
-    g._check_set(snk)
-    net = _FlowNet(g, src, snk)
+    adj = {v: g.adj_mask(v) for v in g.vertices()}
+    nxt: dict[int, int] = {}  # v -> the next vertex on v's path
+    used = 0  # vertices on some path
     flow = 0
-    while flow < k and net.augment():
+    while flow < k:
+        pred, end, entries, exits = _residual_bfs(adj, sm, tm, nxt, used)
+        if end is None:
+            break
+        route = [end]
+        while pred[route[-1]] >= 0:
+            route.append(pred[route[-1]])
+        route.reverse()
+        for a, b in zip(route, route[1:]):
+            u, v = a >> 1, b >> 1
+            if b & 1:
+                if u == v:  # v's own arc: v joins a path
+                    used |= 1 << v
+                else:  # edge v->u reversed: v's path no longer goes on to u
+                    del nxt[v]
+            elif u == v:  # v's own arc reversed: v leaves its path
+                used &= ~(1 << v)
+            else:
+                nxt[u] = v
         flow += 1
-    if flow >= k:
-        return PathSystem(tuple(tuple(p) for p in net.extract_paths(flow)[:k]))
-    sep = net.separation()
-    if sep.order != flow:
-        raise CertificateError(f"separation of order {sep.order} for a flow of {flow}")
-    return sep
-
-
-def min_root_separation(g: Graph, x, target) -> Separation | None:
-    """Minimum-order separation with x ⊆ A and target ⊆ B, or None when
-    |x| disjoint x->target paths exist (the dual certificate)."""
-    xs = set(x)
-    ts = set(target)
-    if not xs or not ts:
-        raise GraphError("min_root_separation needs nonempty sets")
-    res = menger(g, xs, ts, len(xs))
-    if isinstance(res, PathSystem):
-        return None
-    return res
+    if flow < k:
+        # A: entries the last search reached; the cut: those whose exit it did not
+        b_side = g.vertex_mask & ~entries | entries & ~exits
+        sep = Separation(frozenset(bits(entries)), frozenset(bits(b_side)))
+        if sep.order != flow:
+            raise CertificateError(f"separation of order {sep.order} for a flow of {flow}")
+        return sep
+    paths = []
+    for v in bits(used & ~mask_of(nxt.values())):
+        path = [v]
+        while v in nxt:
+            v = nxt[v]
+            path.append(v)
+        # keep the stretch from the last source to the first sink after it
+        path = path[max(i for i, w in enumerate(path) if sm >> w & 1):]
+        paths.append(tuple(path[: min(i for i, w in enumerate(path) if tm >> w & 1) + 1]))
+    if len(paths) != flow:
+        raise CertificateError(f"extracted {len(paths)} paths from a flow of {flow}")
+    return PathSystem(tuple(paths))
 
 
 @dataclass(frozen=True)
@@ -298,18 +232,3 @@ def is_massed(g: Graph, x, lam) -> MassedReport:
                     violator = Separation(a_side, b_side)
                     return MassedReport(lam, m1, m1_slack, False, violator)
     return MassedReport(lam, m1, m1_slack, True)
-
-
-def is_rigid(g: Graph, x, sep: Separation) -> bool:
-    """Rigid: B∖A nonempty and (G[B], A∩B) is cycle-linked."""
-    from .minor import is_cycle_linked
-
-    if not is_valid_separation(g, x, sep):
-        raise GraphError("not a valid separation of (G, X)")
-    b_only = sep.b_side - sep.a_side
-    if not b_only:
-        return False
-    middle = sep.a_side & sep.b_side
-    if not middle:
-        return False
-    return is_cycle_linked(g.induced(sep.b_side), middle).linked

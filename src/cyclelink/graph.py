@@ -179,29 +179,6 @@ class Graph:
             adj[v] |= 1 << u
         return Graph._from_adj(adj)
 
-    def contract(self, u: int, v: int, trace: "ContractionTrace | None" = None) -> "Graph":
-        """Contract edge uv; the merged vertex keeps id u.
-
-        Parallel edges collapse and the loop is dropped (simple-graph
-        convention).  If a trace is given it is updated so the cell of u
-        absorbs the cell of v.
-        """
-        if not self.has_edge(u, v):
-            raise GraphError(f"cannot contract non-edge {u}-{v}")
-        merged = (self._adj[u] | self._adj[v]) & ~(1 << u) & ~(1 << v)
-        adj = {}
-        for w in bits(self._vmask & ~(1 << v)):
-            if w == u:
-                adj[w] = merged
-            else:
-                bm = self._adj[w] & ~(1 << v)
-                if merged >> w & 1:
-                    bm |= 1 << u
-                adj[w] = bm
-        if trace is not None:
-            trace.merge(u, v)
-        return Graph._from_adj(adj)
-
     # connectivity helpers
 
     def reach_mask(self, start: int, allowed: int) -> int:
@@ -227,9 +204,6 @@ class Graph:
         start = xm & -xm
         return self.reach_mask(start, xm) == xm
 
-    def is_connected_subset(self, x: Iterable[int]) -> bool:
-        return self.is_connected_mask(self._check_set(x))
-
     def is_connected(self) -> bool:
         return self.is_connected_mask(self._vmask)
 
@@ -243,35 +217,6 @@ class Graph:
             out.append(set(bits(comp)))
             left &= ~comp
         return out
-
-
-class ContractionTrace:
-    """Maps each surviving vertex to the original vertices it represents."""
-
-    def __init__(self, vertices: Iterable[int]):
-        self.merged_from: dict[int, set[int]] = {v: {v} for v in vertices}
-
-    def merge(self, survivor: int, absorbed: int) -> None:
-        if survivor not in self.merged_from or absorbed not in self.merged_from:
-            raise GraphError("trace does not know these vertices")
-        self.merged_from[survivor] |= self.merged_from.pop(absorbed)
-
-    def cell(self, v: int) -> set[int]:
-        return set(self.merged_from[v])
-
-    def validate(self, original: Graph) -> None:
-        """Cells must partition V(original) and induce connected subgraphs."""
-        seen: set[int] = set()
-        for v, cell in self.merged_from.items():
-            if v not in cell:
-                raise GraphError(f"survivor {v} missing from its own cell")
-            if seen & cell:
-                raise GraphError("trace cells overlap")
-            seen |= cell
-            if not original.is_connected_subset(cell):
-                raise GraphError(f"trace cell of {v} is not connected")
-        if seen != set(original.vertices()):
-            raise GraphError("trace cells do not cover the original vertex set")
 
 
 # constructors for common fixtures

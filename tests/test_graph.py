@@ -3,13 +3,7 @@ import random
 import pytest
 
 from cyclelink.errors import GraphError
-from cyclelink.graph import (
-    ContractionTrace,
-    Graph,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-)
+from cyclelink.graph import Graph, complete_graph, cycle_graph, path_graph
 
 
 def test_simple_invariants():
@@ -57,57 +51,6 @@ def test_unknown_vertex_errors():
         g.rho({9})
     with pytest.raises(GraphError):
         g.edge_count_between({1}, {9})
-
-
-def test_contract_triangle():
-    tri = complete_graph([1, 2, 3])
-    g = tri.contract(1, 2)
-    assert g.n == 2 and g.m == 1
-
-
-def test_contract_cycle():
-    c5 = cycle_graph([1, 2, 3, 4, 5])
-    g = c5.contract(2, 3)
-    assert g.n == 4 and g.m == 4 and g.is_connected()
-
-
-def test_contract_diamond():
-    g = Graph([], [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
-    h = g.contract(1, 3)
-    # parallel edges collapse: 2-3 and 3-4 fold onto 1-2 and 1-4
-    assert h.n == 3 and h.m == 2
-
-
-def test_contract_requires_edge():
-    c5 = cycle_graph([1, 2, 3, 4, 5])
-    with pytest.raises(GraphError):
-        c5.contract(1, 3)
-
-
-def test_contract_edge_deficit_identity():
-    # |E(G)| - |E(G/uv)| - 1 == |N(u) ∩ N(v)|
-    rng = random.Random(11)
-    for _ in range(50):
-        n = rng.randint(4, 10)
-        g = Graph(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
-                             if rng.random() < 0.5])
-        edges = list(g.edges())
-        if not edges:
-            continue
-        u, v = rng.choice(edges)
-        common = len(set(g.neighbors(u)) & set(g.neighbors(v)))
-        h = g.contract(u, v)
-        assert h.n == g.n - 1
-        assert g.m - h.m - 1 == common
-
-
-def test_contraction_trace_partition():
-    c5 = cycle_graph([1, 2, 3, 4, 5])
-    t = ContractionTrace(c5.vertices())
-    g = c5.contract(1, 2, t).contract(1, 3, t)
-    assert t.cell(1) == {1, 2, 3}
-    t.validate(c5)
-    assert g.n == 3
 
 
 def test_neighborhood_and_delete():

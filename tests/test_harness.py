@@ -29,6 +29,26 @@ def test_is_k_connected_cut_vertex():
     assert not is_k_connected(g, 2)
 
 
+def test_is_k_connected_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for _ in range(400):
+        n = rng.randint(2, 13)
+        c = rng.randint(1, 8)
+        g = random_graph(rng, n, rng.uniform(0.4, 1.0))
+        if rng.random() < 0.5 and n > c + 1:
+            # cut every edge between two sides except at c - 1 shared
+            # vertices, so that often only the menger check can say no
+            sep = set(rng.sample(range(n), c - 1))
+            side = {v: rng.random() < 0.5 for v in range(n)}
+            kept = [(u, v) for u, v in g.edges() if side[u] == side[v] or {u, v} & sep]
+            g = Graph(range(n), kept)
+        ref = nx.Graph()
+        ref.add_nodes_from(g.vertices())
+        ref.add_edges_from(g.edges())
+        assert is_k_connected(g, c) == (n > c and nx.node_connectivity(ref) >= c)
+
+
 def test_sample_k_connected_verified():
     rng = random.Random(1)
     for g in sample_k_connected(rng, 3, 6, 8, 5):
