@@ -8,7 +8,6 @@ so identical configs reproduce identical instance streams and reports.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 
@@ -54,18 +53,21 @@ def is_k_connected(g: Graph, c: int) -> bool:
     return True
 
 
+SAMPLER_MAX_TRIES = 20000  # rejection-sampling budget per sample_k_connected call
+
+
 def sample_k_connected(
-    rng: random.Random, c: int, n_low: int, n_high: int, count: int, max_tries: int = 20000
+    rng: random.Random, c: int, n_low: int, n_high: int, count: int
 ) -> list[Graph]:
     """Rejection-sample graphs verified c-connected; raises when the
     requested connectivity is unreachable in the given size range."""
     out = []
     tries = 0
     while len(out) < count:
-        if tries >= max_tries:
+        if tries >= SAMPLER_MAX_TRIES:
             raise CyclelinkError(
                 f"sampler could not reach connectivity {c} at n in "
-                f"[{n_low},{n_high}] after {max_tries} tries"
+                f"[{n_low},{n_high}] after {SAMPLER_MAX_TRIES} tries"
             )
         tries += 1
         n = rng.randint(n_low, n_high)
@@ -75,27 +77,6 @@ def sample_k_connected(
         if is_k_connected(g, c):
             out.append(g)
     return out
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CYCLELINK_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _check_instance(task: tuple[str, list[int]]) -> list[list[int]]:
-    """Worker body: all canonical orders of one (graph6, roots) instance;
-    returns the failing orders."""
-    from .io6 import parse_graph6
-
-    g6, roots = task
-    g = parse_graph6(g6)
-    return [
-        list(order)
-        for order in canonical_cyclic_orders(roots)
-        if find_rooted_cycle_minor(g, order) is None
-    ]
 
 
 def verify_theorem(
@@ -111,39 +92,24 @@ def verify_theorem(
     """Check that every sampled verified-c-connected graph is cycle-linked
     on sampled k-subsets: all canonical cyclic orders must admit a model.
 
-    Any failure is archived (graph6 + order) as a falsifier.  Instances
-    run on CYCLELINK_WORKERS processes (default 1); results are merged in
-    input order either way.
+    All graphs are sampled first, then each graph's root sets in turn;
+    every instance is checked on the sampled graph as it is drawn.  Any
+    failure is archived (graph6 + order) as a falsifier.
     """
     rng = random.Random(seed)
     t0 = time.perf_counter()
     records = []
     falsifiers = []
-    checks = 0
-    tasks = []
-    for gi, g in enumerate(sample_k_connected(rng, connectivity, n_low, n_high, graphs)):
-        verts = g.vertices()
-        g6 = to_graph6(g)
-        for _ in range(subsets):
-            roots = sorted(rng.sample(verts, k))
-            tasks.append((gi, g.n, g.m, g6, roots))
     per_order = len(canonical_cyclic_orders(range(k)))
-    workers = _worker_count()
-    work = [(g6, roots) for _, _, _, g6, roots in tasks]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_check_instance, work))
-    else:
-        results = [_check_instance(t) for t in work]
-    for (gi, n, m, g6, roots), failing in zip(tasks, results):
-        checks += per_order
-        for order in failing:
-            falsifiers.append({"graph6": g6, "order": order})
-        records.append(
-            {"graph_index": gi, "n": n, "m": m, "roots": roots, "orders": per_order}
-        )
+    for gi, g in enumerate(sample_k_connected(rng, connectivity, n_low, n_high, graphs)):
+        for _ in range(subsets):
+            roots = sorted(rng.sample(g.vertices(), k))
+            for order in canonical_cyclic_orders(roots):
+                if find_rooted_cycle_minor(g, order) is None:
+                    falsifiers.append({"graph6": to_graph6(g), "order": list(order)})
+            records.append(
+                {"graph_index": gi, "n": g.n, "m": g.m, "roots": roots, "orders": per_order}
+            )
     return {
         "mode": "verify-theorem",
         "connectivity": connectivity,
@@ -151,7 +117,7 @@ def verify_theorem(
         "seed": seed,
         "graphs": graphs,
         "subsets": subsets,
-        "checks": checks,
+        "checks": per_order * len(records),
         "falsifiers": falsifiers,
         "records": records,
         "timing": {"elapsed_s": round(time.perf_counter() - t0, 3)},

@@ -153,22 +153,26 @@ def _paths_between(g: Graph, am: int, bm: int, free: int):
 
     Each yielded list is the ordered interior (possibly long); direct
     edges are the caller's fast path and never reach here.  Deterministic:
-    vertices explored in ascending id.
+    vertices explored in ascending id.  The depth-first search keeps an
+    explicit stack (one iterator per depth), so a long path cannot hit
+    the recursion limit; ``left`` is ``free`` minus the current path.
     """
-    a_nbrs = 0
-    for u in bits(am):
-        a_nbrs |= g.adj_mask(u)
-    stack: list[int] = []
-
-    def extend(frontier_mask: int, remaining: int):
-        for v in bits(frontier_mask & remaining):
-            stack.append(v)
-            if g.adj_mask(v) & bm:
-                yield list(stack)
-            yield from extend(g.adj_mask(v), remaining & ~(1 << v))
-            stack.pop()
-
-    yield from extend(a_nbrs, free)
+    path: list[int] = []
+    frontier = [bits(_nbr_mask(g, am) & free)]
+    left = free
+    while frontier:
+        v = next(frontier[-1], None)
+        if v is None:
+            frontier.pop()
+            if path:
+                left |= 1 << path.pop()
+            continue
+        path.append(v)
+        left &= ~(1 << v)
+        nbrs = g.adj_mask(v)
+        if nbrs & bm:
+            yield list(path)
+        frontier.append(bits(nbrs & left))
 
 
 def _demands_feasible(g: Graph, sets: list[int], free: int, d: int, k: int) -> bool:

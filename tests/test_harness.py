@@ -58,7 +58,7 @@ def test_sample_k_connected_verified():
 def test_sample_k_connected_impossible():
     rng = random.Random(1)
     with pytest.raises(CyclelinkError):
-        sample_k_connected(rng, 9, 5, 6, 1, max_tries=50)
+        sample_k_connected(rng, 9, 5, 6, 1)
 
 
 def test_verify_theorem_report_shape():
@@ -78,16 +78,6 @@ def test_verify_theorem_seeded_repeatability():
     r1.pop("timing")
     r2.pop("timing")
     assert r1 == r2
-
-
-def test_worker_pool_matches_serial(monkeypatch):
-    kw = dict(connectivity=4, n_low=6, n_high=7, graphs=3, subsets=2, seed=9, k=3)
-    serial = verify_theorem(**kw)
-    monkeypatch.setenv("CYCLELINK_WORKERS", "2")
-    parallel = verify_theorem(**kw)
-    serial.pop("timing")
-    parallel.pop("timing")
-    assert serial == parallel
 
 
 def test_oracle_sweep_small(corpus_path):

@@ -23,6 +23,14 @@ def test_identity_embedding_on_cycle():
     assert m.branch_sets == tuple(frozenset({i}) for i in (1, 2, 3, 4, 5))
 
 
+def test_long_cycle_routes_without_recursion_error():
+    # the 0..2 demand is routed along a 1,497-vertex interior path
+    g = cycle_graph(list(range(1500)))
+    m = find_rooted_cycle_minor(g, (0, 1, 2))
+    assert m is not None
+    assert verify_model(g, (0, 1, 2), m)
+
+
 def test_path_has_no_cycle_minor():
     p5 = path_graph([1, 2, 3, 4, 5])
     assert find_rooted_cycle_minor(p5, (1, 2, 3, 4, 5)) is None
