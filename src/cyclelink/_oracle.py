@@ -41,7 +41,7 @@ def brute_force_massed(g: Graph, x, lam) -> tuple[bool, bool]:
     from fractions import Fraction
 
     lam = Fraction(lam)
-    xm = g._check_set(x)
+    xm = g.mask(x)
     verts = g.vertices()
     rest = g.vertex_mask & ~xm
     m1 = Fraction(g.rho(bits(rest))) > lam * rest.bit_count()

@@ -20,6 +20,7 @@ from .errors import (
     CertificateError,
     CyclelinkError,
     FalsifierError,
+    GenerationError,
     Graph6Error,
     GraphError,
     NotMassedError,
@@ -40,11 +41,11 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_ids(text: str) -> list[int]:
+def _parse_ids(text: str, what: str = "vertex ids") -> list[int]:
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise GraphError(f"expected comma-separated vertex ids, got {text!r}") from None
+        raise GraphError(f"expected comma-separated {what}, got {text!r}") from None
 
 
 def cmd_check(args) -> int:
@@ -104,7 +105,10 @@ def cmd_gen_extremal(args) -> int:
     if args.spec:
         for part in args.spec.split(","):
             i, _, size = part.partition(":")
-            spec.append((int(i), int(size)))
+            try:
+                spec.append((int(i), int(size)))
+            except ValueError:
+                raise GenerationError(f"expected index:size, got {part!r}") from None
     g, roots = generate(spec)
     sidecar = {"roots": list(roots), "apex_pair": [6, 7], "graph6": to_graph6(g)}
     if args.output:
@@ -118,11 +122,15 @@ def cmd_gen_extremal(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    n_low, _, n_high = args.n_range.partition(":")
+    low, _, high = args.n_range.partition(":")
+    try:
+        n_low, n_high = int(low), int(high)
+    except ValueError:
+        raise GraphError(f"expected --n-range LOW:HIGH, got {args.n_range!r}") from None
     report = harness.verify_theorem(
         connectivity=args.connectivity,
-        n_low=int(n_low),
-        n_high=int(n_high),
+        n_low=n_low,
+        n_high=n_high,
         graphs=args.graphs,
         subsets=args.subsets,
         seed=args.seed,
@@ -142,7 +150,7 @@ def cmd_oracle_sweep(args) -> int:
         paths = [args.corpus]
     if not paths or not all(os.path.exists(p) for p in paths):
         raise CyclelinkError(f"corpus not found: {args.corpus}")
-    ks = [int(k) for k in args.k.split(",")]
+    ks = _parse_ids(args.k, "root counts")
     report = harness.oracle_sweep(paths, ks, limit=args.limit)
     _write_report(report, args.output)
     return EXIT_YES if not report["disagreements"] else EXIT_NO

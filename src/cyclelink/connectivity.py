@@ -9,7 +9,6 @@ ascending order, so returned paths and separations are deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -33,10 +32,6 @@ class Separation:
     def order(self) -> int:
         return len(self.a_side & self.b_side)
 
-    @property
-    def middle(self) -> frozenset[int]:
-        return self.a_side & self.b_side
-
     def to_json_dict(self) -> dict:
         return {
             "A": sorted(self.a_side),
@@ -45,21 +40,16 @@ class Separation:
             "order": self.order,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def is_valid_separation(g: Graph, x, sep: Separation) -> bool:
-    am = g._check_set(sep.a_side)
-    bm = g._check_set(sep.b_side)
+    am = g.mask(sep.a_side)
+    bm = g.mask(sep.b_side)
     if (am | bm) != g.vertex_mask:
         return False
-    xm = g._check_set(x)
+    xm = g.mask(x)
     if xm & am != xm:
         return False
-    a_only = am & ~bm
-    b_only = bm & ~am
-    return all(not (g.adj_mask(u) & b_only) for u in bits(a_only))
+    return not g.touches(am & ~bm, bm & ~am)
 
 
 @dataclass(frozen=True)
@@ -113,8 +103,8 @@ def menger(g: Graph, sources, sinks, k: int):
     """
     if k < 1:
         raise GraphError(f"k must be positive, got {k}")
-    sm = g._check_set(sources)
-    tm = g._check_set(sinks)
+    sm = g.mask(sources)
+    tm = g.mask(sinks)
     if not sm or not tm:
         raise GraphError("menger needs nonempty source and sink sets")
     adj = {v: g.adj_mask(v) for v in g.vertices()}
@@ -145,8 +135,8 @@ def menger(g: Graph, sources, sinks, k: int):
         # A: entries the last search reached; the cut: those whose exit it did not
         b_side = g.vertex_mask & ~entries | entries & ~exits
         sep = Separation(frozenset(bits(entries)), frozenset(bits(b_side)))
-        if sep.order != flow:
-            raise CertificateError(f"separation of order {sep.order} for a flow of {flow}")
+        if sep.order != flow or tm & ~b_side or not is_valid_separation(g, bits(sm), sep):
+            raise CertificateError(f"invalid separation of order {sep.order} for a flow of {flow}")
         return sep
     paths = []
     for v in bits(used & ~mask_of(nxt.values())):
@@ -196,8 +186,11 @@ def is_massed(g: Graph, x, lam) -> MassedReport:
     and rho is additive over components, so a violating union exists iff
     some single component has positive slack.
     """
-    lam = Fraction(lam)
-    xm = g._check_set(x)
+    try:
+        lam = Fraction(lam)
+    except (ValueError, ZeroDivisionError):
+        raise GraphError(f"lambda must be a rational number, got {lam!r}") from None
+    xm = g.mask(x)
     xset = frozenset(bits(xm))
     if not xset:
         raise GraphError("is_massed needs a nonempty root set")
@@ -230,5 +223,7 @@ def is_massed(g: Graph, x, lam) -> MassedReport:
                     b_side = frozenset(bits(comp | sm))
                     a_side = frozenset(bits(g.vertex_mask & ~comp))
                     violator = Separation(a_side, b_side)
+                    if violator.order >= len(xset) or not is_valid_separation(g, xset, violator):
+                        raise CertificateError("(M2) violator fails verification")
                     return MassedReport(lam, m1, m1_slack, False, violator)
     return MassedReport(lam, m1, m1_slack, True)

@@ -8,12 +8,11 @@ components hanging off {a, b, x_i, x_{i+2}} with density exactly 5|C|.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import GenerationError, GraphError
-from .graph import Graph
-from .minor import canonical_cyclic_orders, find_rooted_cycle_minor
+from .graph import Graph, bits
+from .minor import _validate_roots, find_rooted_cycle_minor
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,6 @@ class ExtremalCertificate:
                 for c, i in self.components
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     def verify(self, g: Graph) -> bool:
         """Re-check every certificate invariant against the host graph."""
@@ -64,37 +60,38 @@ class ExtremalCertificate:
         return g.rho(rest) == 5 * len(rest) + 1
 
 
-def recognize(g: Graph, x) -> ExtremalCertificate | None:
-    """Search all canonical labelings of x and all apex candidates for a
-    certificate; a candidate is returned only if its verify() passes."""
-    xs = sorted(set(x))
+def recognize(g: Graph, seq) -> ExtremalCertificate | None:
+    """Recognize (g, seq) as a family member labelled by the cyclic order
+    ``seq`` = x1..x5 itself.
+
+    Each adjacent apex pair dominating the roots is tried, and a candidate
+    is returned only if its verify() passes.  The certificate's roots are
+    ``seq``: a rotation or reflection of the member's labelling fits, and
+    any other order of the same roots gives None.
+    """
+    xs = tuple(seq)
     if len(xs) != 5:
         raise GraphError(f"recognizer needs exactly 5 roots, got {len(xs)}")
-    for v in xs:
-        g._check(v)
-    rest = set(g.vertices()) - set(xs)
-    if g.rho(rest) != 5 * len(rest) + 1:
+    xm = _validate_roots(g, xs)
+    rest = g.vertex_mask & ~xm
+    if g.rho(bits(rest)) != 5 * rest.bit_count() + 1:
         return None
     # apex candidates: adjacent pairs outside X dominating every root
-    dominating = sorted(
-        v for v in rest if all(g.has_edge(v, r) for r in xs)
-    )
+    dominating = [v for v in bits(rest) if g.adj_mask(v) & xm == xm]
     for i, a in enumerate(dominating):
         for b in dominating[i + 1:]:
             if not g.has_edge(a, b):
                 continue
             comps = [frozenset(c) for c in g.delete(set(xs) | {a, b}).components()]
-            nbrs = [g.neighborhood(c) for c in comps]
-            for order in canonical_cyclic_orders(xs):
-                # first attachment index that fits; 0 when none does,
-                # which verify() then rejects
-                fits = [
-                    next((i for i in range(5) if nb <= {a, b, order[i], order[(i + 2) % 5]}), 0)
-                    for nb in nbrs
-                ]
-                cert = ExtremalCertificate(order, (a, b), tuple(zip(comps, fits)))
-                if cert.verify(g):
-                    return cert
+            # first attachment index that fits; 0 when none does, which
+            # verify() then rejects
+            fits = [
+                next((i for i in range(5) if nb <= {a, b, xs[i], xs[(i + 2) % 5]}), 0)
+                for nb in map(g.neighborhood, comps)
+            ]
+            cert = ExtremalCertificate(xs, (a, b), tuple(zip(comps, fits)))
+            if cert.verify(g):
+                return cert
     return None
 
 

@@ -105,9 +105,10 @@ class Graph:
         if v not in self._adj:
             raise GraphError(f"unknown vertex id {v}")
 
-    def _check_set(self, xs: Iterable[int]) -> int:
+    def mask(self, vertices: Iterable[int]) -> int:
+        """Bitmask of ``vertices``; raises GraphError on an unknown id."""
         m = 0
-        for v in xs:
+        for v in vertices:
             self._check(v)
             m |= 1 << v
         return m
@@ -128,8 +129,8 @@ class Graph:
 
         An edge with both ends in the overlap x∩y counts once.
         """
-        xm = self._check_set(x)
-        ym = self._check_set(y)
+        xm = self.mask(x)
+        ym = self.mask(y)
         count = sum((self._adj[u] & ym).bit_count() for u in bits(xm))
         both = xm & ym
         # edges inside x∩y were counted from each end
@@ -138,26 +139,36 @@ class Graph:
 
     def rho(self, x: Iterable[int]) -> int:
         """Number of edges with at least one end in x."""
-        xm = self._check_set(x)
+        xm = self.mask(x)
         inside = sum((self._adj[u] & xm).bit_count() for u in bits(xm)) // 2
         return sum((self._adj[u]).bit_count() for u in bits(xm)) - inside
 
     def neighborhood(self, x: Iterable[int]) -> set[int]:
         """N(X): vertices outside x adjacent to some vertex of x."""
-        xm = self._check_set(x)
+        return set(bits(self.nbr_mask(self.mask(x))))
+
+    # mask primitives (masks must hold known vertices only)
+
+    def touches(self, am: int, bm: int) -> bool:
+        """Whether some vertex of ``am`` has a neighbor in ``bm``."""
+        adj = self._adj
+        return any(adj[u] & bm for u in bits(am))
+
+    def nbr_mask(self, sm: int) -> int:
+        """Vertices outside ``sm`` adjacent to some vertex of ``sm``."""
         nm = 0
-        for u in bits(xm):
+        for u in bits(sm):
             nm |= self._adj[u]
-        return set(bits(nm & ~xm))
+        return nm & ~sm
 
     # transforms (return new graphs)
 
     def induced(self, x: Iterable[int]) -> "Graph":
-        xm = self._check_set(x)
+        xm = self.mask(x)
         return Graph._from_adj({v: self._adj[v] & xm for v in bits(xm)})
 
     def delete(self, s: Iterable[int]) -> "Graph":
-        sm = self._check_set(s)
+        sm = self.mask(s)
         return self.induced(bits(self._vmask & ~sm))
 
     def delete_edge(self, u: int, v: int) -> "Graph":

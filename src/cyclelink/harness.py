@@ -13,7 +13,7 @@ import time
 
 from ._oracle import naive_rooted_cycle_minor
 from .connectivity import PathSystem, menger
-from .errors import CyclelinkError
+from .errors import CyclelinkError, GraphError
 from .graph import Graph
 from .io6 import read_graph6_file, to_graph6
 from .minor import canonical_cyclic_orders, find_rooted_cycle_minor
@@ -42,8 +42,6 @@ def is_k_connected(g: Graph, c: int) -> bool:
         for v in verts[i + 1:]
         if not g.has_edge(u, v)
     ]
-    if not nonadj:
-        return g.n - 1 >= c  # complete graph
     for u, v in nonadj:
         # kappa(u, v): internally disjoint u-v paths correspond to fully
         # disjoint N(u)-N(v) paths in G - {u, v}
@@ -96,6 +94,10 @@ def verify_theorem(
     every instance is checked on the sampled graph as it is drawn.  Any
     failure is archived (graph6 + order) as a falsifier.
     """
+    if n_low > n_high:
+        raise GraphError(f"empty size range {n_low}:{n_high}")
+    if not 3 <= k <= n_low:
+        raise GraphError(f"need 3 <= k <= {n_low} (the smallest n), got k = {k}")
     rng = random.Random(seed)
     t0 = time.perf_counter()
     records = []
@@ -127,6 +129,8 @@ def verify_theorem(
 def oracle_sweep(corpus_paths: list[str], ks: list[int], *, limit: int | None = None) -> dict:
     """Fast engine vs naive assignment-enumeration oracle over a graph6
     corpus; any disagreement is reported and fails the run."""
+    if any(k < 3 for k in ks):
+        raise GraphError(f"root counts must be at least 3, got {ks}")
     t0 = time.perf_counter()
     table = []
     disagreements = []

@@ -55,7 +55,6 @@ def parse_graph6(line: str) -> Graph:
     if len(line) - pos > nchars:
         raise Graph6Error("trailing bytes after graph6 data", offset=pos + nchars)
     edges = []
-    bit = 0
     acc = 0
     have = 0
     idx = pos
@@ -71,7 +70,6 @@ def parse_graph6(line: str) -> Graph:
             have -= 1
             if acc >> have & 1:
                 edges.append((u, v))
-            bit += 1
     # padding bits must be zero
     if have and acc & ((1 << have) - 1):
         raise Graph6Error("nonzero padding bits", offset=idx - 1)

@@ -9,7 +9,6 @@ and is exhaustive: returning None proves non-containment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import CertificateError, GraphError, UnsupportedError
@@ -30,9 +29,6 @@ class MinorModel:
             "roots": list(self.roots),
             "branch_sets": [sorted(bs) for bs in self.branch_sets],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MinorModel":
@@ -58,7 +54,7 @@ def verify_model(g: Graph, seq: tuple[int, ...], m: MinorModel) -> ModelCheck:
     masks = []
     for i, bs in enumerate(m.branch_sets):
         try:
-            bm = g._check_set(bs)
+            bm = g.mask(bs)
         except GraphError:
             return ModelCheck(False, f"branch set {i} contains unknown vertices")
         masks.append(bm)
@@ -72,28 +68,21 @@ def verify_model(g: Graph, seq: tuple[int, ...], m: MinorModel) -> ModelCheck:
                 return ModelCheck(False, f"branch sets {i} and {j} overlap")
     for i in range(k):
         j = (i + 1) % k
-        if not _touches(g, masks[i], masks[j]):
+        if not g.touches(masks[i], masks[j]):
             return ModelCheck(False, f"no edge between branch sets {i} and {j}")
     return ModelCheck(True)
 
 
-def _touches(g: Graph, am: int, bm: int) -> bool:
-    return any(g.adj_mask(u) & bm for u in bits(am))
-
-
 def path_exists(g: Graph, u: int, v: int) -> bool:
-    if u == v:
-        raise GraphError("path_exists expects two distinct vertices")
-    g._check(u)
-    g._check(v)
+    _validate_roots(g, (u, v))
     return bool(g.reach_mask(1 << u, g.vertex_mask) >> v & 1)
 
 
-def _validate_roots(g: Graph, seq: tuple[int, ...]) -> None:
-    if len(set(seq)) != len(seq):
+def _validate_roots(g: Graph, seq) -> int:
+    """The mask of ``seq``; its ids must be known vertices and distinct."""
+    if (xm := g.mask(seq)).bit_count() != len(seq):
         raise GraphError(f"roots must be distinct: {seq}")
-    for v in seq:
-        g._check(v)
+    return xm
 
 
 def find_rooted_cycle_minor(g: Graph, seq) -> MinorModel | None:
@@ -108,10 +97,8 @@ def find_rooted_cycle_minor(g: Graph, seq) -> MinorModel | None:
         raise UnsupportedError(f"engine supports at most {ENGINE_LIMIT} roots, got {k}")
     if k < 3:
         raise GraphError("need at least 3 roots; use path_exists for pairs")
-    _validate_roots(g, seq)
-
+    free = g.vertex_mask & ~_validate_roots(g, seq)
     sets = [1 << r for r in seq]
-    free = g.vertex_mask & ~mask_of(seq)
     found = _search(g, sets, free, 0, k)
     if found is None:
         return None
@@ -127,7 +114,7 @@ def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] |
     if d == k:
         return list(sets)
     i, j = d, (d + 1) % k
-    if _touches(g, sets[i], sets[j]):
+    if g.touches(sets[i], sets[j]):
         if _demands_feasible(g, sets, free, d + 1, k):
             return _search(g, sets, free, d + 1, k)
         return None
@@ -158,7 +145,7 @@ def _paths_between(g: Graph, am: int, bm: int, free: int):
     the recursion limit; ``left`` is ``free`` minus the current path.
     """
     path: list[int] = []
-    frontier = [bits(_nbr_mask(g, am) & free)]
+    frontier = [bits(g.nbr_mask(am) & free)]
     left = free
     while frontier:
         v = next(frontier[-1], None)
@@ -179,19 +166,12 @@ def _demands_feasible(g: Graph, sets: list[int], free: int, d: int, k: int) -> b
     """Fail fast: every open demand must still be routable through free."""
     for i in range(d, k):
         j = (i + 1) % k
-        if _touches(g, sets[i], sets[j]):
+        if g.touches(sets[i], sets[j]):
             continue
-        region = g.reach_mask(_nbr_mask(g, sets[i]) & free, free) | sets[i]
-        if not _touches(g, region, sets[j]):
+        region = g.reach_mask(g.nbr_mask(sets[i]) & free, free) | sets[i]
+        if not g.touches(region, sets[j]):
             return False
     return True
-
-
-def _nbr_mask(g: Graph, sm: int) -> int:
-    nm = 0
-    for u in bits(sm):
-        nm |= g.adj_mask(u)
-    return nm & ~sm
 
 
 def _minimize(g: Graph, seq: tuple[int, ...], m: MinorModel) -> MinorModel:
@@ -208,7 +188,7 @@ def _minimize(g: Graph, seq: tuple[int, ...], m: MinorModel) -> MinorModel:
                     continue
                 left = (i - 1) % k
                 right = (i + 1) % k
-                if _touches(g, trial, masks[left]) and _touches(g, trial, masks[right]):
+                if g.touches(trial, masks[left]) and g.touches(trial, masks[right]):
                     masks[i] = trial
                     changed = True
     return MinorModel(seq, tuple(frozenset(bits(bm)) for bm in masks))
@@ -258,15 +238,12 @@ def is_cycle_linked(g: Graph, x) -> CycleLinkReport:
     For |x| >= 3 every canonical cyclic order must admit a rooted cycle
     minor; for |x| in {1, 2} this reduces to path existence.
     """
-    xs = sorted(set(x))
-    if len(xs) != len(list(x)):
-        raise GraphError(f"root set has repeats: {x}")
+    xs = sorted(x)
+    _validate_roots(g, xs)
     if not xs:
         raise GraphError("root set is empty")
     if len(xs) > ENGINE_LIMIT:
         raise UnsupportedError(f"engine supports at most {ENGINE_LIMIT} roots, got {len(xs)}")
-    for v in xs:
-        g._check(v)
     if len(xs) == 1:
         return CycleLinkReport(True, {})
     if len(xs) == 2:

@@ -2,15 +2,15 @@
 
 Given (G, x1..xk) with 3 <= k <= 5 and (G, X) 5-massed, solve() runs the
 exact engine.  A "yes" is the engine's minimized model; a "no" with k = 5
-must be a member of the tight obstruction family, so it is answered with
-an ExtremalCertificate.  Anything else contradicts the dichotomy and is
+must be a member of the tight obstruction family labelled by that same
+order, so it is answered with an ExtremalCertificate whose roots are
+x1..x5 as given.  Anything else contradicts the dichotomy and is
 surfaced as a replayable falsifier.  Every answer is re-verified on the
 input graph before return.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .connectivity import is_massed
@@ -18,7 +18,7 @@ from .errors import CertificateError, FalsifierError, GraphError, NotMassedError
 from .extremal import recognize
 from .graph import Graph
 from .io6 import to_graph6
-from .minor import find_rooted_cycle_minor, verify_model
+from .minor import _validate_roots, find_rooted_cycle_minor, verify_model
 
 
 @dataclass
@@ -30,24 +30,19 @@ class ReductionTrace:
     def add(self, **step) -> None:
         self.steps.append(step)
 
-    def to_json(self) -> str:
-        return json.dumps({"steps": self.steps})
-
 
 def solve(g: Graph, seq, trace: ReductionTrace | None = None):
-    """Find a verified MinorModel for (g, seq) or an ExtremalCertificate.
+    """Find a verified MinorModel for (g, seq) or an ExtremalCertificate
+    labelled by the order seq itself.
 
     Raises NotMassedError when (g, set(seq)) is not 5-massed, and
-    FalsifierError if neither outcome can be produced (which would
-    contradict the dichotomy the solver implements).
+    FalsifierError if neither outcome can be produced for seq (which
+    would contradict the dichotomy the solver implements).
     """
     seq = tuple(seq)
     if not 3 <= len(seq) <= 5:
         raise GraphError(f"solver supports 3..5 roots, got {len(seq)}")
-    if len(set(seq)) != len(seq):
-        raise GraphError(f"roots must be distinct: {seq}")
-    for v in seq:
-        g._check(v)
+    _validate_roots(g, seq)
     if trace is None:
         trace = ReductionTrace()
     report = is_massed(g, seq, 5)
@@ -61,7 +56,7 @@ def solve(g: Graph, seq, trace: ReductionTrace | None = None):
         if not check:
             raise CertificateError(f"solver model fails verification: {check.reason}")
         return model
-    cert = recognize(g, set(seq)) if len(seq) == 5 else None
+    cert = recognize(g, seq) if len(seq) == 5 else None
     if cert is None:
         artifact = {"graph6": to_graph6(g), "order": list(seq)}
         trace.add(rule="falsifier", **artifact)

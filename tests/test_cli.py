@@ -105,6 +105,29 @@ def test_gen_extremal_rejects_bad_spec(capsys):
     assert code == EXIT_ERROR and "error" in payload
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-extremal", "--spec", "1:x"],
+        ["gen-extremal", "--spec", "1"],
+        ["verify-theorem", "--connectivity", "3", "--n-range", "12", "--graphs", "1"],
+        ["verify-theorem", "--connectivity", "3", "--n-range", "9:5", "--graphs", "1"],
+        ["verify-theorem", "--connectivity", "3", "--n-range", "3:4", "--graphs", "1", "--k", "9"],
+        ["verify-theorem", "--connectivity", "3", "--n-range", "5:6", "--graphs", "1", "--k=-1"],
+        ["massed", "--lambda", "abc", "--roots", "0", "{graph}"],
+        ["massed", "--lambda", "1/0", "--roots", "0", "{graph}"],
+        ["oracle-sweep", "--k", "a", "--corpus", "{corpus}"],
+        ["oracle-sweep", "--k=-1", "--corpus", "{corpus}"],
+    ],
+)
+def test_malformed_values_are_input_errors(argv, tmp_path, capsys, corpus_path):
+    graph = write_g6(tmp_path, complete_graph(list(range(4))))
+    argv = [a.format(graph=graph, corpus=corpus_path) for a in argv]
+    code, payload, _ = run(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert set(payload) == {"error"}
+
+
 def test_verify_theorem_smoke(tmp_path, capsys):
     out = str(tmp_path / "records.jsonl")
     code, payload, _ = run(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cyclelink.connectivity
 from cyclelink._oracle import brute_force_has_separation, brute_force_massed
 from cyclelink.connectivity import (
     MassedReport,
@@ -12,7 +13,7 @@ from cyclelink.connectivity import (
     is_valid_separation,
     menger,
 )
-from cyclelink.errors import GraphError, ResourceGuardError
+from cyclelink.errors import CertificateError, GraphError, ResourceGuardError
 from cyclelink.graph import Graph, complete_graph, cycle_graph, path_graph
 from cyclelink.harness import random_graph
 
@@ -84,7 +85,7 @@ def test_menger_duality_random():
             assert src <= res.a_side and snk <= res.b_side
             assert is_valid_separation(g, src & res.a_side, res)
             # and the middle really does separate
-            sm = res.middle
+            sm = res.a_side & res.b_side
             g2 = g.delete(sm) if sm else g
             left_src = src - sm
             left_snk = snk - sm
@@ -158,6 +159,19 @@ def test_massed_m2_violator_is_reported():
     assert is_valid_separation(g, {0, 1, 2} & set(v.a_side), v)
     b_only = set(v.b_side) - set(v.a_side)
     assert g.rho(b_only) > len(b_only)
+
+
+def test_emitted_separations_are_rechecked(monkeypatch):
+    p5 = path_graph([0, 1, 2, 3, 4])
+    k5 = complete_graph([10, 11, 12, 13, 14])
+    blob = Graph([0, 1, 2], [(0, 1), (1, 2), (2, 10)] + list(k5.edges()))
+    assert isinstance(menger(p5, {0}, {4}, 2), Separation)
+    assert is_massed(blob, {0, 1, 2}, 1).m2_violator is not None
+    monkeypatch.setattr(cyclelink.connectivity, "is_valid_separation", lambda g, x, sep: False)
+    with pytest.raises(CertificateError):
+        menger(p5, {0}, {4}, 2)
+    with pytest.raises(CertificateError):
+        is_massed(blob, {0, 1, 2}, 1)
 
 
 def test_massed_agrees_with_bruteforce():

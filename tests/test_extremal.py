@@ -4,7 +4,8 @@ from cyclelink.connectivity import is_massed
 from cyclelink.errors import GenerationError, GraphError
 from cyclelink.extremal import ExtremalCertificate, generate, recognize
 from cyclelink.graph import complete_graph, cycle_graph
-from cyclelink.minor import find_rooted_cycle_minor
+from cyclelink.minor import canonical_cyclic_orders, find_rooted_cycle_minor
+from cyclelink.reducer import solve
 
 
 def test_core_member_sizes(e0, e1, e2):
@@ -55,6 +56,23 @@ def test_recognizer_rejects_perturbed_member(e1):
     # deleting an apex-root edge breaks it the other way
     broken = g.delete_edge(6, 1)
     assert recognize(broken, roots) is None
+
+
+def test_recognizer_answers_for_the_given_order(e0, e1):
+    # every order of e0 lacks a model; e1 has orders of both kinds
+    outcomes = set()
+    for g, roots in (e0, e1):
+        for order in canonical_cyclic_orders(roots):
+            cert = recognize(g, order)
+            assert (cert is not None) == (find_rooted_cycle_minor(g, order) is None)
+            outcomes.add(cert is None)
+            if cert is None:
+                continue
+            assert cert.roots == order and cert.verify(g)
+            solved = solve(g, order)
+            assert isinstance(solved, ExtremalCertificate)
+            assert solved.roots == order and solved.verify(g)
+    assert outcomes == {True, False}
 
 
 def test_certificate_verify_catches_tampering(e1):

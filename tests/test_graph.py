@@ -51,6 +51,16 @@ def test_unknown_vertex_errors():
         g.rho({9})
     with pytest.raises(GraphError):
         g.edge_count_between({1}, {9})
+    with pytest.raises(GraphError):
+        g.mask([1, 9])
+
+
+def test_mask_primitives():
+    p4 = path_graph([1, 2, 3, 4])
+    assert p4.mask([1, 3]) == 0b1010
+    assert p4.nbr_mask(p4.mask([1, 2])) == p4.mask([3])
+    assert p4.touches(p4.mask([1, 2]), p4.mask([3]))
+    assert not p4.touches(p4.mask([1]), p4.mask([3, 4]))
 
 
 def test_neighborhood_and_delete():

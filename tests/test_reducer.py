@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -29,7 +28,6 @@ def test_solve_dense_graph_returns_model():
     assert isinstance(result, MinorModel)
     assert verify_model(k8, (0, 1, 2, 3, 4), result)
     assert trace.steps == [{"rule": "fallback-search"}]
-    assert json.loads(trace.to_json()) == {"steps": trace.steps}
 
 
 def test_solve_extremal_family(e0, e1, e2):
