@@ -164,8 +164,17 @@ def _write_report(report: dict, output: str | None) -> None:
     _emit(report)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: ``main`` reports them as JSON with
+    exit 2.  Subparsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CyclelinkError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyclelink",
         description="Exact rooted cycle minor workbench",
     )
@@ -215,8 +224,8 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         # looked up at call time, so a replaced cmd_* function takes effect
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except Graph6Error as exc:

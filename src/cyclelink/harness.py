@@ -98,6 +98,9 @@ def verify_theorem(
         raise GraphError(f"empty size range {n_low}:{n_high}")
     if not 3 <= k <= n_low:
         raise GraphError(f"need 3 <= k <= {n_low} (the smallest n), got k = {k}")
+    if graphs < 1 or subsets < 1:
+        # zero instances would report a vacuous pass
+        raise GraphError(f"need at least one graph and one subset, got {graphs} and {subsets}")
     rng = random.Random(seed)
     t0 = time.perf_counter()
     records = []
@@ -131,6 +134,8 @@ def oracle_sweep(corpus_paths: list[str], ks: list[int], *, limit: int | None = 
     corpus; any disagreement is reported and fails the run."""
     if any(k < 3 for k in ks):
         raise GraphError(f"root counts must be at least 3, got {ks}")
+    if limit is not None and limit < 1:
+        raise GraphError(f"limit must be at least 1, got {limit}")
     t0 = time.perf_counter()
     table = []
     disagreements = []

@@ -10,6 +10,8 @@ and is exhaustive: returning None proves non-containment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 from .errors import CertificateError, GraphError, UnsupportedError
 from .graph import Graph, bits, mask_of
@@ -111,6 +113,28 @@ def find_rooted_cycle_minor(g: Graph, seq) -> MinorModel | None:
 
 
 def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] | None:
+    """Route demands d..k-1 (X_i to X_{i+1}, cyclically); exhaustive.
+
+    A model exists below a state iff this returns one.  Two prunings skip
+    only children that cannot succeed, so the first model found is the
+    one the unpruned search finds:
+
+    - *Dominated cuts.*  For d >= 1, X_d is never read again once demand
+      d is routed: later demands read X_{d+1}..X_{k-1} and X_0 only.  A
+      model reached after giving a prefix of the path to X_d stays a
+      model when that prefix joins X_{d+1} instead (the prefix runs from
+      a neighbour of X_d to the rest of the path, so X_{d+1} stays
+      connected and touches X_d), so the cut that gives the whole path
+      to X_{d+1} dominates, and it is the one tried first.  At d = 0
+      every cut is kept, because demand (k-1, 0) reads X_0 again.
+    - *Failed children.*  Given this state, a child is fixed by the
+      vertices the cut gives X_i (``head``) and the path's vertex set
+      (``pmask``); the order of the path is not read.  A (head, pmask)
+      pair that was tried once has failed, so it is not tried again.
+      Different states never share a child (with the whole path given
+      to X_{d+1}, each set is recoverable from the child), so a table
+      over whole states across the call would find nothing more.
+    """
     if d == k:
         return list(sets)
     i, j = d, (d + 1) % k
@@ -118,35 +142,45 @@ def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] |
         if _demands_feasible(g, sets, free, d + 1, k):
             return _search(g, sets, free, d + 1, k)
         return None
-    # route a path from sets[i] to sets[j] through free vertices; any
-    # prefix of the interior may be absorbed into X_i, the rest into X_j
-    for path in _paths_between(g, sets[i], sets[j], free):
-        pmask = mask_of(path)
-        for cut in range(len(path) + 1):
-            head = mask_of(path[:cut])
+    # route a path from X_i to X_j through free vertices: at d = 0 any
+    # prefix of it may join X_i, at d >= 1 all of it joins X_j
+    tried = set()
+    for path, pmask in _paths_between(g, sets[i], sets[j], free, distinct=d > 0):
+        for head in accumulate((1 << v for v in path), or_, initial=0) if d == 0 else (0,):
+            if (head, pmask) in tried:
+                continue
+            tried.add((head, pmask))
+            rest = pmask & ~head
             sets[i] |= head
-            sets[j] |= pmask & ~head
+            sets[j] |= rest
             if _demands_feasible(g, sets, free & ~pmask, d + 1, k):
                 res = _search(g, sets, free & ~pmask, d + 1, k)
                 if res is not None:
                     return res
             sets[i] &= ~head
-            sets[j] &= ~(pmask & ~head)
+            sets[j] &= ~rest
     return None
 
 
-def _paths_between(g: Graph, am: int, bm: int, free: int):
-    """Yield interiors of simple a-set..b-set paths through free vertices.
+def _paths_between(g: Graph, am: int, bm: int, free: int, distinct: bool = False):
+    """Yield (interior, vertex mask) of simple a-set..b-set paths through
+    free vertices.
 
-    Each yielded list is the ordered interior (possibly long); direct
-    edges are the caller's fast path and never reach here.  Deterministic:
-    vertices explored in ascending id.  The depth-first search keeps an
-    explicit stack (one iterator per depth), so a long path cannot hit
-    the recursion limit; ``left`` is ``free`` minus the current path.
+    Each interior is ordered (possibly long); direct edges are the
+    caller's fast path and never reach here.  Deterministic: vertices
+    explored in ascending id.  The depth-first search keeps an explicit
+    stack (one iterator per depth), so a long path cannot hit the
+    recursion limit; ``left`` is ``free`` minus the current path.
+
+    With ``distinct`` the search never re-enters a (last vertex, path
+    set) state it has explored: every path through it has a vertex set
+    already yielded, so a caller that reads only the sets skips nothing
+    new, and the first path with each set comes in the same order.
     """
     path: list[int] = []
     frontier = [bits(g.nbr_mask(am) & free)]
     left = free
+    explored = set()
     while frontier:
         v = next(frontier[-1], None)
         if v is None:
@@ -154,22 +188,29 @@ def _paths_between(g: Graph, am: int, bm: int, free: int):
             if path:
                 left |= 1 << path.pop()
             continue
+        if distinct:
+            if (v, left) in explored:
+                continue
+            explored.add((v, left))
         path.append(v)
         left &= ~(1 << v)
         nbrs = g.adj_mask(v)
         if nbrs & bm:
-            yield list(path)
+            yield list(path), free & ~left
         frontier.append(bits(nbrs & left))
 
 
 def _demands_feasible(g: Graph, sets: list[int], free: int, d: int, k: int) -> bool:
-    """Fail fast: every open demand must still be routable through free."""
+    """Fail fast: every open demand must still be routable through free.
+
+    X_i and X_j are disjoint, so X_i touches X_j iff it meets N(X_j),
+    and a route exists iff the free region reached from N(X_i) does.
+    """
     for i in range(d, k):
-        j = (i + 1) % k
-        if g.touches(sets[i], sets[j]):
+        near = g.nbr_mask(sets[(i + 1) % k])
+        if sets[i] & near:
             continue
-        region = g.reach_mask(g.nbr_mask(sets[i]) & free, free) | sets[i]
-        if not g.touches(region, sets[j]):
+        if not g.reach_mask(g.nbr_mask(sets[i]) & free, free) & near:
             return False
     return True
 

@@ -118,6 +118,13 @@ def test_gen_extremal_rejects_bad_spec(capsys):
         ["massed", "--lambda", "1/0", "--roots", "0", "{graph}"],
         ["oracle-sweep", "--k", "a", "--corpus", "{corpus}"],
         ["oracle-sweep", "--k=-1", "--corpus", "{corpus}"],
+        ["oracle-sweep", "--limit", "-1", "--corpus", "{corpus}"],
+        ["verify-theorem", "--connectivity", "3", "--n-range", "5:6", "--graphs", "-1"],
+        ["verify-theorem", "--connectivity", "3", "--n-range", "5:6", "--graphs", "0"],
+        ["verify-theorem", "--connectivity", "3", "--n-range", "5:6", "--subsets", "-2"],
+        ["verify-theorem", "--connectivity", "x", "--n-range", "5:6"],
+        ["verify-theorem", "--connectivity", "3", "--n-range", "-5:6"],
+        ["check", "{graph}"],
     ],
 )
 def test_malformed_values_are_input_errors(argv, tmp_path, capsys, corpus_path):
@@ -126,6 +133,13 @@ def test_malformed_values_are_input_errors(argv, tmp_path, capsys, corpus_path):
     code, payload, _ = run(capsys, *argv)
     assert code == EXIT_ERROR
     assert set(payload) == {"error"}
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--order" in capsys.readouterr().out
 
 
 def test_verify_theorem_smoke(tmp_path, capsys):

@@ -205,6 +205,24 @@ def test_agreement_with_oracle_exhaustive_tiny():
         assert (fast is None) == (slow is None)
 
 
+
+def test_pruned_search_agrees_with_oracle_at_depth():
+    # sparse graphs with k = 5, 6: demands past the first are routed along
+    # paths, so the dominated cuts and the skipped repeat children decide
+    # many answers, and "no" is common
+    rng = random.Random(43)
+    answers = set()
+    for _ in range(120):
+        n = rng.randint(9, 10)
+        g = random_graph(rng, n, rng.uniform(0.3, 0.55))
+        seq = tuple(rng.sample(range(n), rng.choice([5, 6])))
+        fast = find_rooted_cycle_minor(g, seq)
+        slow = naive_rooted_cycle_minor(g, seq)
+        assert (fast is None) == (slow is None), (list(g.edges()), seq)
+        answers.add(fast is None)
+    assert answers == {True, False}
+
+
 def test_minimal_certificates():
     k7 = complete_graph(list(range(7)))
     m = find_rooted_cycle_minor(k7, (0, 1, 2, 3, 4))
