@@ -25,7 +25,7 @@ from .errors import (
     GraphError,
     NotMassedError,
 )
-from .extremal import ExtremalCertificate, generate
+from .extremal import APEX_PAIR, ExtremalCertificate, generate
 from .io6 import load_graph, to_graph6
 from .minor import MinorModel, find_rooted_cycle_minor, is_cycle_linked
 from .reducer import ReductionTrace, solve
@@ -110,7 +110,7 @@ def cmd_gen_extremal(args) -> int:
             except ValueError:
                 raise GenerationError(f"expected index:size, got {part!r}") from None
     g, roots = generate(spec)
-    sidecar = {"roots": list(roots), "apex_pair": [6, 7], "graph6": to_graph6(g)}
+    sidecar = {"roots": list(roots), "apex_pair": list(APEX_PAIR), "graph6": to_graph6(g)}
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(to_graph6(g) + "\n")

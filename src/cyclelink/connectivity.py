@@ -17,7 +17,7 @@ from math import comb
 from .errors import CertificateError, GraphError, ResourceGuardError
 from .graph import Graph, bits, mask_of
 
-# refuse (M2) separator enumeration beyond this many candidate sets
+# refuse an (M2) scan of more than this many separators of order |X|-1
 M2_ENUMERATION_LIMIT = 2_000_000
 
 
@@ -181,49 +181,51 @@ class MassedReport:
 def is_massed(g: Graph, x, lam) -> MassedReport:
     """Check the (M1)/(M2) conditions with exact rational arithmetic.
 
-    (M2) is decided by enumerating candidate separators S with |S| < |X|.
-    For fixed S the B∖A side is a union of components of G-S avoiding X,
-    and rho is additive over components, so a violating union exists iff
-    some single component has positive slack.
+    (M2) asks for a separation (A, B) of order < |X| with X ⊆ A and
+    rho(B∖A) > lam*|B∖A|.  B∖A is a union of components of G-S avoiding X
+    (S = A∩B), and rho is additive over components, so a violating union
+    exists iff some single component has positive slack.
+
+    Only separators of order exactly |X|-1 are scanned.  If C is a
+    component of G-S avoiding X with |S| < |X|, then N(C) ⊆ S, and at least
+    |X|-|N(C)| roots lie outside N(C) (and outside C); padding N(C) with
+    |X|-1-|N(C)| of them gives a separator S' of order |X|-1 of which C is
+    still a component avoiding X.  For each S the components avoiding X
+    are the vertices X∖S does not reach.  A violator is reported as the
+    tight separation (V∖C, C∪N(C)), of order |N(C)| < |X|.
     """
     try:
         lam = Fraction(lam)
     except (ValueError, ZeroDivisionError):
         raise GraphError(f"lambda must be a rational number, got {lam!r}") from None
     xm = g.mask(x)
-    xset = frozenset(bits(xm))
-    if not xset:
+    if not xm:
         raise GraphError("is_massed needs a nonempty root set")
     rest = g.vertex_mask & ~xm
     m1_slack = Fraction(g.rho(bits(rest))) - lam * rest.bit_count()
     m1 = m1_slack > 0
 
-    order_bound = len(xset)  # separations of order < |X|
-    n = g.n
-    total = sum(comb(n, i) for i in range(order_bound))
+    order = xm.bit_count() - 1
+    total = comb(g.n, order)
     if total > M2_ENUMERATION_LIMIT:
         raise ResourceGuardError(
             f"(M2) would enumerate {total} separators (> {M2_ENUMERATION_LIMIT})"
         )
 
-    verts = g.vertices()
-    for size in range(order_bound):
-        for S in combinations(verts, size):
-            sm = mask_of(S)
-            left = g.vertex_mask & ~sm
-            # components of G - S avoiding X are candidate B\A pieces
-            while left:
-                start = left & -left
-                comp = g.reach_mask(start, g.vertex_mask & ~sm)
-                left &= ~comp
-                if comp & xm:
-                    continue
-                slack = Fraction(g.rho(bits(comp))) - lam * comp.bit_count()
-                if slack > 0:
-                    b_side = frozenset(bits(comp | sm))
-                    a_side = frozenset(bits(g.vertex_mask & ~comp))
-                    violator = Separation(a_side, b_side)
-                    if violator.order >= len(xset) or not is_valid_separation(g, xset, violator):
-                        raise CertificateError("(M2) violator fails verification")
-                    return MassedReport(lam, m1, m1_slack, False, violator)
+    for S in combinations(g.vertices(), order):
+        sm = mask_of(S)
+        allowed = g.vertex_mask & ~sm
+        # the components of G - S avoiding X: all that X∖S does not reach
+        left = allowed & ~g.reach_mask(xm & ~sm, allowed)
+        while left:
+            comp = g.reach_mask(left & -left, left)
+            left &= ~comp
+            slack = Fraction(g.rho(bits(comp))) - lam * comp.bit_count()
+            if slack > 0:
+                a_side = frozenset(bits(g.vertex_mask & ~comp))
+                b_side = frozenset(bits(comp | g.nbr_mask(comp)))
+                violator = Separation(a_side, b_side)
+                if violator.order > order or not is_valid_separation(g, bits(xm), violator):
+                    raise CertificateError("(M2) violator fails verification")
+                return MassedReport(lam, m1, m1_slack, False, violator)
     return MassedReport(lam, m1, m1_slack, True)

@@ -95,10 +95,14 @@ def recognize(g: Graph, seq) -> ExtremalCertificate | None:
     return None
 
 
+# the apex pair (a, b) of every generated member; the roots are 1..5
+APEX_PAIR = (6, 7)
+
+
 def generate(component_spec):
     """Build a family member from a list of (attachment index, size) pairs.
 
-    Vertices: roots 1..5, apexes a=6 and b=7, then component vertices.
+    Vertices: roots 1..5, apexes (a, b) = APEX_PAIR, then component vertices.
     Each component starts as a triangle fully joined to its four
     attachments (density exactly 5|C|); extra vertices keep the density
     tight by adding exactly five edges each.  The result must pass the
@@ -108,7 +112,7 @@ def generate(component_spec):
     Returns (graph, roots).
     """
     roots = (1, 2, 3, 4, 5)
-    a, b = 6, 7
+    a, b = APEX_PAIR
     edges = [(a, b)]
     edges += [(a, r) for r in roots] + [(b, r) for r in roots]
     nxt = 8

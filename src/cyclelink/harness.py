@@ -94,6 +94,8 @@ def verify_theorem(
     every instance is checked on the sampled graph as it is drawn.  Any
     failure is archived (graph6 + order) as a falsifier.
     """
+    if connectivity < 1:
+        raise GraphError(f"connectivity must be at least 1, got {connectivity}")
     if n_low > n_high:
         raise GraphError(f"empty size range {n_low}:{n_high}")
     if not 3 <= k <= n_low:
@@ -159,6 +161,11 @@ def oracle_sweep(corpus_paths: list[str], ks: list[int], *, limit: int | None = 
                              "engine": fast, "oracle": slow}
                         )
                 table.append({"graph6": to_graph6(g), "k": k, "pairs": total, "agree": agree})
+    if not table:
+        # comparing nothing would report a vacuous pass
+        raise GraphError(
+            f"no pair to compare: no corpus graph has at least k vertices for any k in {ks}"
+        )
     return {
         "mode": "oracle-sweep",
         "ks": ks,

@@ -8,6 +8,7 @@ import pytest
 import cyclelink.cli
 import cyclelink.reducer
 from cyclelink.cli import EXIT_CRASH, EXIT_ERROR, EXIT_NO, EXIT_YES, main
+from cyclelink.extremal import generate, recognize
 from cyclelink.graph import complete_graph, cycle_graph, path_graph
 from cyclelink.io6 import to_graph6
 from cyclelink.minor import ModelCheck
@@ -94,6 +95,9 @@ def test_gen_extremal_writes_sidecar(tmp_path, capsys):
     code, payload, _ = run(capsys, "gen-extremal", "--spec", "1:3", "-o", out)
     assert code == EXIT_YES
     assert payload["roots"] == [1, 2, 3, 4, 5]
+    g, roots = generate([(1, 3)])
+    assert payload["graph6"] == to_graph6(g)
+    assert payload["apex_pair"] == list(recognize(g, roots).apex_pair)
     with open(out) as fh:
         assert fh.read().strip() == payload["graph6"]
     with open(out + ".json") as fh:
@@ -125,6 +129,9 @@ def test_gen_extremal_rejects_bad_spec(capsys):
         ["verify-theorem", "--connectivity", "x", "--n-range", "5:6"],
         ["verify-theorem", "--connectivity", "3", "--n-range", "-5:6"],
         ["check", "{graph}"],
+        ["verify-theorem", "--connectivity", "0", "--n-range", "3:4", "--graphs", "1",
+         "--subsets", "1", "--k", "3", "--seed", "1"],
+        ["oracle-sweep", "--k", "7", "--corpus", "{corpus}"],
     ],
 )
 def test_malformed_values_are_input_errors(argv, tmp_path, capsys, corpus_path):

@@ -148,17 +148,28 @@ def test_massed_extremal_family(e0, e1, e2):
         assert rep.m1_slack == 1  # rho(V\X) = 5|V\X| + 1 exactly
 
 
-def test_massed_m2_violator_is_reported():
-    # a pendant dense blob behind a single cut vertex violates (M2)
-    k5 = complete_graph([10, 11, 12, 13, 14])
-    g = Graph([0, 1, 2], [(0, 1), (1, 2), (2, 10)] + list(k5.edges()))
-    rep = is_massed(g, {0, 1, 2}, 1)
-    assert not rep.m2_holds
+def assert_tight_violator(g, x, rep):
+    """The (M2) violator separates X from a dense B∖A, is tight
+    (A∩B = N(B∖A)) and has order below |X|."""
     v = rep.m2_violator
-    assert v is not None and v.order < 3
-    assert is_valid_separation(g, {0, 1, 2} & set(v.a_side), v)
+    assert v is not None and not rep.m2_holds
+    assert is_valid_separation(g, x, v)
     b_only = set(v.b_side) - set(v.a_side)
-    assert g.rho(b_only) > len(b_only)
+    assert v.a_side & v.b_side == g.neighborhood(b_only)
+    assert v.order < len(x)
+    assert g.rho(b_only) > rep.lam * len(b_only)
+
+
+def test_massed_m2_violator_is_reported():
+    k5 = list(complete_graph([10, 11, 12, 13, 14]).edges())
+    # a pendant dense blob behind a single cut vertex, then an isolated
+    # one (N(C) is empty)
+    for edges in ([(0, 1), (1, 2), (2, 10)] + k5, [(0, 1), (1, 2)] + k5):
+        g = Graph([0, 1, 2], edges)
+        rep = is_massed(g, {0, 1, 2}, 1)
+        assert_tight_violator(g, {0, 1, 2}, rep)
+        v = rep.m2_violator
+        assert set(v.b_side) - set(v.a_side) == {10, 11, 12, 13, 14}
 
 
 def test_emitted_separations_are_rechecked(monkeypatch):
@@ -186,6 +197,18 @@ def test_massed_agrees_with_bruteforce():
         m1, m2 = brute_force_massed(g, x, lam)
         assert rep.m1_holds == m1
         assert rep.m2_holds == m2
+        if not m2:
+            assert_tight_violator(g, x, rep)
+    # five roots, the (M2) scan of order 4 that solve runs
+    for _ in range(60):
+        n = rng.randint(5, 8)
+        g = random_graph(rng, n, rng.uniform(0.3, 0.9))
+        x = set(rng.sample(range(n), 5))
+        lam = rng.choice([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5)])
+        rep = is_massed(g, x, lam)
+        assert (rep.m1_holds, rep.m2_holds) == brute_force_massed(g, x, lam)
+        if not rep.m2_holds:
+            assert_tight_violator(g, x, rep)
 
 
 def test_massed_resource_guard():
