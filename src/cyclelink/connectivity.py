@@ -111,6 +111,15 @@ def menger(g: Graph, sources, sinks, k: int):
     nxt: dict[int, int] = {}  # v -> the next vertex on v's path
     used = 0  # vertices on some path
     flow = 0
+    # Shared terminals are one-vertex paths, the k lowest taken first: the
+    # BFS would find them first and in that order, since its queue holds
+    # every source entry, then every source exit, and a sink exit ends it.
+    shared = sm & tm
+    while shared and flow < k:
+        low = shared & -shared
+        used |= low
+        shared ^= low
+        flow += 1
     while flow < k:
         pred, end, entries, exits = _residual_bfs(adj, sm, tm, nxt, used)
         if end is None:

@@ -107,9 +107,11 @@ class Graph:
 
     def mask(self, vertices: Iterable[int]) -> int:
         """Bitmask of ``vertices``; raises GraphError on an unknown id."""
+        adj = self._adj
         m = 0
         for v in vertices:
-            self._check(v)
+            if v not in adj:
+                raise GraphError(f"unknown vertex id {v}")
             m |= 1 << v
         return m
 
@@ -152,7 +154,12 @@ class Graph:
     def touches(self, am: int, bm: int) -> bool:
         """Whether some vertex of ``am`` has a neighbor in ``bm``."""
         adj = self._adj
-        return any(adj[u] & bm for u in bits(am))
+        while am:
+            low = am & -am
+            if adj[low.bit_length() - 1] & bm:
+                return True
+            am ^= low
+        return False
 
     def nbr_mask(self, sm: int) -> int:
         """Vertices outside ``sm`` adjacent to some vertex of ``sm``."""

@@ -14,7 +14,7 @@ from itertools import accumulate
 from operator import or_
 
 from .errors import CertificateError, GraphError, UnsupportedError
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits
 
 ENGINE_LIMIT = 8  # max number of roots the search accepts
 
@@ -104,8 +104,7 @@ def find_rooted_cycle_minor(g: Graph, seq) -> MinorModel | None:
     found = _search(g, sets, free, 0, k)
     if found is None:
         return None
-    model = MinorModel(seq, tuple(frozenset(bits(bm)) for bm in found))
-    model = _minimize(g, seq, model)
+    model = MinorModel(seq, tuple(frozenset(bits(bm)) for bm in _minimize(g, seq, found)))
     check = verify_model(g, seq, model)
     if not check:
         raise CertificateError(f"engine model fails verification: {check.reason}")
@@ -134,12 +133,18 @@ def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] |
       Different states never share a child (with the whole path given
       to X_{d+1}, each set is recoverable from the child), so a table
       over whole states across the call would find nothing more.
+
+    Every call at depth d >= 1 comes from a parent that has just checked
+    ``_demands_feasible(g, sets, free, d, k)`` with these very sets and
+    free set.  When X_d already touches X_{d+1}, the state passes on to
+    depth d + 1 unchanged, so its open demands are a subset of those and
+    need no second check; only the root call at d = 0 is unchecked.
     """
     if d == k:
         return list(sets)
     i, j = d, (d + 1) % k
     if g.touches(sets[i], sets[j]):
-        if _demands_feasible(g, sets, free, d + 1, k):
+        if d > 0 or _demands_feasible(g, sets, free, 1, k):
             return _search(g, sets, free, d + 1, k)
         return None
     # route a path from X_i to X_j through free vertices: at d = 0 any
@@ -215,24 +220,68 @@ def _demands_feasible(g: Graph, sets: list[int], free: int, d: int, k: int) -> b
     return True
 
 
-def _minimize(g: Graph, seq: tuple[int, ...], m: MinorModel) -> MinorModel:
-    """Drop removable vertices so emitted certificates are inclusion-minimal."""
-    masks = [mask_of(bs) for bs in m.branch_sets]
+def _minimize(g: Graph, seq: tuple[int, ...], masks: list[int]) -> list[int]:
+    """Drop removable vertices so emitted certificates are inclusion-minimal.
+
+    A vertex is removable when the rest of its branch set stays connected
+    and still touches both neighbouring sets.  Each branch set is
+    connected, so the rest stays connected iff the vertex is not a cut
+    vertex of the set; the cut vertices are found once, on the first
+    vertex that keeps both touches, and again after each removal.
+    """
     k = len(masks)
     changed = True
     while changed:
         changed = False
         for i in range(k):
-            for v in sorted(bits(masks[i] & ~(1 << seq[i]))):
+            cut = None
+            for v in bits(masks[i] & ~(1 << seq[i])):
                 trial = masks[i] & ~(1 << v)
-                if not g.is_connected_mask(trial):
+                if not (g.touches(trial, masks[i - 1]) and g.touches(trial, masks[(i + 1) % k])):
                     continue
-                left = (i - 1) % k
-                right = (i + 1) % k
-                if g.touches(trial, masks[left]) and g.touches(trial, masks[right]):
+                if cut is None:
+                    cut = _cut_vertices(g, masks[i])
+                if not cut >> v & 1:
                     masks[i] = trial
+                    cut = None
                     changed = True
-    return MinorModel(seq, tuple(frozenset(bits(bm)) for bm in masks))
+    return masks
+
+
+def _cut_vertices(g: Graph, xm: int) -> int:
+    """Mask of the cut vertices of the connected subgraph induced by xm.
+
+    One lowpoint depth-first search (Hopcroft-Tarjan), with an explicit
+    stack of neighbour iterators so a long set cannot hit the recursion
+    limit.
+    """
+    root = (xm & -xm).bit_length() - 1
+    disc = {root: 0}
+    low = {root: 0}
+    stack = [(root, -1, bits(g.adj_mask(root) & xm))]
+    cut = 0
+    root_children = 0
+    while stack:
+        v, parent, nbrs = stack[-1]
+        w = next(nbrs, None)
+        if w is None:
+            stack.pop()
+            if parent == root:
+                root_children += 1
+            elif parent >= 0:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    cut |= 1 << parent
+            continue
+        if w in disc:
+            if w != parent:
+                low[v] = min(low[v], disc[w])
+        else:
+            disc[w] = low[w] = len(disc)
+            stack.append((w, v, bits(g.adj_mask(w) & xm)))
+    if root_children > 1:
+        cut |= 1 << root
+    return cut
 
 
 # cyclic order canonicalization

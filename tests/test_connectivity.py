@@ -60,6 +60,35 @@ def test_menger_argument_validation():
         menger(c4, {0}, {9}, 1)
 
 
+def _assert_menger_duality(g, src, snk, k, res):
+    if isinstance(res, PathSystem):
+        assert len(res.paths) == k
+        interiors = set()
+        for p in res.paths:
+            assert p[0] in src and p[-1] in snk
+            inner = set(p[1:-1])
+            assert not inner & (src | snk)
+            assert not inner & interiors
+            interiors |= inner
+        # duality: no separating set smaller than k exists
+        assert not brute_force_has_separation(g, src, snk, k)
+    else:
+        assert res.order < k
+        assert src <= res.a_side and snk <= res.b_side
+        assert is_valid_separation(g, src & res.a_side, res)
+        # and the middle really does separate
+        sm = res.a_side & res.b_side
+        g2 = g.delete(sm) if sm else g
+        left_src = src - sm
+        left_snk = snk - sm
+        if left_src and left_snk:
+            reach = set()
+            for comp in g2.components():
+                if set(comp) & left_src:
+                    reach |= set(comp)
+            assert not reach & left_snk
+
+
 def test_menger_duality_random():
     rng = random.Random(7)
     for _ in range(200):
@@ -68,33 +97,43 @@ def test_menger_duality_random():
         src = set(rng.sample(range(n), rng.randint(1, 3)))
         snk = set(rng.sample(range(n), rng.randint(1, 3)))
         k = rng.randint(1, 4)
+        _assert_menger_duality(g, src, snk, k, menger(g, src, snk, k))
+
+
+def test_menger_more_shared_terminals_than_k():
+    g = path_graph(list(range(8)))
+    res = menger(g, {0, 2, 3, 5, 6}, {1, 2, 3, 5, 6, 7}, 3)
+    # the k lowest shared terminals, each a one-vertex path
+    assert res == PathSystem(((2,), (3,), (5,)))
+
+
+def test_menger_exactly_k_shared_terminals():
+    g = cycle_graph(list(range(8)))
+    res = menger(g, {1, 4, 6}, {0, 4, 6}, 2)
+    assert res == PathSystem(((4,), (6,)))
+
+
+def test_menger_augments_past_shared_terminals():
+    rng = random.Random(17)
+    longer = separations = 0
+    for _ in range(200):
+        n = rng.randint(7, 11)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+        shared = set(rng.sample(range(n), rng.randint(1, 2)))
+        rest = [v for v in range(n) if v not in shared]
+        src = shared | set(rng.sample(rest, rng.randint(1, 2)))
+        snk = shared | set(rng.sample([v for v in rest if v not in src], rng.randint(1, 2)))
+        k = rng.randint(len(shared) + 1, len(shared) + 3)
         res = menger(g, src, snk, k)
+        _assert_menger_duality(g, src, snk, k, res)
         if isinstance(res, PathSystem):
-            assert len(res.paths) == k
-            interiors = set()
-            for p in res.paths:
-                assert p[0] in src and p[-1] in snk
-                inner = set(p[1:-1])
-                assert not inner & (src | snk)
-                assert not inner & interiors
-                interiors |= inner
-            # duality: no separating set smaller than k exists
-            assert not brute_force_has_separation(g, src, snk, k)
+            assert {p for p in res.paths if len(p) == 1} == {(v,) for v in shared}
+            longer += 1
         else:
-            assert res.order < k
-            assert src <= res.a_side and snk <= res.b_side
-            assert is_valid_separation(g, src & res.a_side, res)
-            # and the middle really does separate
-            sm = res.a_side & res.b_side
-            g2 = g.delete(sm) if sm else g
-            left_src = src - sm
-            left_snk = snk - sm
-            if left_src and left_snk:
-                reach = set()
-                for comp in g2.components():
-                    if set(comp) & left_src:
-                        reach |= set(comp)
-                assert not reach & left_snk
+            assert shared <= res.a_side & res.b_side
+            separations += 1
+    # both outcomes are exercised
+    assert longer > 20 and separations > 20
 
 
 def test_separation_minimality_exhaustive():

@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import pytest
 
+import cyclelink.harness
+from cyclelink.connectivity import menger
 from cyclelink.errors import CyclelinkError
 from cyclelink.harness import (
     is_k_connected,
@@ -29,7 +32,14 @@ def test_is_k_connected_cut_vertex():
     assert not is_k_connected(g, 2)
 
 
-def test_is_k_connected_matches_networkx():
+def _nx_connected(nx, g, c):
+    ref = nx.Graph()
+    ref.add_nodes_from(g.vertices())
+    ref.add_edges_from(g.edges())
+    return g.n > c and nx.node_connectivity(ref) >= c
+
+
+def test_is_k_connected_matches_networkx(monkeypatch):
     nx = pytest.importorskip("networkx")
     rng = random.Random(31)
     for _ in range(400):
@@ -43,10 +53,37 @@ def test_is_k_connected_matches_networkx():
             side = {v: rng.random() < 0.5 for v in range(n)}
             kept = [(u, v) for u, v in g.edges() if side[u] == side[v] or {u, v} & sep]
             g = Graph(range(n), kept)
-        ref = nx.Graph()
-        ref.add_nodes_from(g.vertices())
-        ref.add_edges_from(g.edges())
-        assert is_k_connected(g, c) == (n > c and nx.node_connectivity(ref) >= c)
+        assert is_k_connected(g, c) == _nx_connected(nx, g, c)
+
+    # dense graphs: a nonadjacent pair with c common neighbours skips the
+    # flow, every other one calls menger
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return menger(*args)
+
+    monkeypatch.setattr(cyclelink.harness, "menger", counted)
+    skipped = flows = 0
+    for _ in range(300):
+        n = rng.randint(6, 13)
+        c = rng.randint(2, n - 2)
+        g = random_graph(rng, n, rng.uniform(0.7, 1.0))
+        del calls[:]
+        if not is_k_connected(g, c):
+            assert not _nx_connected(nx, g, c)
+            continue
+        assert _nx_connected(nx, g, c)
+        common = [
+            (g.adj_mask(u) & g.adj_mask(v)).bit_count()
+            for u, v in itertools.combinations(g.vertices(), 2)
+            if not g.has_edge(u, v)
+        ]
+        # every pair was examined: those short of c common neighbours by menger
+        assert len(calls) == sum(x < c for x in common)
+        skipped += sum(x >= c for x in common)
+        flows += len(calls)
+    assert skipped > 0 and flows > 0
 
 
 def test_sample_k_connected_verified():
@@ -78,6 +115,20 @@ def test_verify_theorem_seeded_repeatability():
     r1.pop("timing")
     r2.pop("timing")
     assert r1 == r2
+
+
+def test_verify_theorem_sampler_stream_pinned():
+    # (n, m, roots) of each record; a kappa test that accepts a different
+    # graph shifts the whole seeded stream
+    report = verify_theorem(
+        connectivity=10, n_low=12, n_high=16, graphs=3, subsets=1, seed=0
+    )
+    assert [(r["n"], r["m"], r["roots"]) for r in report["records"]] == [
+        (13, 74, [6, 8, 10, 11, 12]),
+        (12, 63, [5, 7, 8, 10, 11]),
+        (14, 83, [3, 8, 9, 10, 13]),
+    ]
+    assert report["falsifiers"] == []
 
 
 def test_oracle_sweep_small(corpus_path):

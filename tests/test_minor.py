@@ -229,6 +229,32 @@ def test_minimal_certificates():
     assert all(len(bs) == 1 for bs in m.branch_sets)
 
 
+def test_sparse_models_are_inclusion_minimal():
+    # sparse graphs give long branch sets with cut vertices; no non-root
+    # vertex may leave a set that stays connected and touches both neighbours
+    rng = random.Random(5)
+    removed_checks = 0
+    for _ in range(150):
+        n = rng.randint(10, 30)
+        g = random_graph(rng, n, rng.uniform(1.2, 2.5) / n)
+        seq = tuple(rng.sample(range(n), rng.randint(3, 5)))
+        m = find_rooted_cycle_minor(g, seq)
+        if m is None:
+            continue
+        masks = [g.mask(bs) for bs in m.branch_sets]
+        k = len(seq)
+        for i, bm in enumerate(masks):
+            for v in m.branch_sets[i] - {seq[i]}:
+                trial = bm & ~(1 << v)
+                removed_checks += 1
+                assert not (
+                    g.is_connected_mask(trial)
+                    and g.touches(trial, masks[i - 1])
+                    and g.touches(trial, masks[(i + 1) % k])
+                ), (list(g.edges()), seq, i, v)
+    assert removed_checks > 100
+
+
 def test_model_json_roundtrip():
     c5 = cycle_graph([1, 2, 3, 4, 5])
     m = find_rooted_cycle_minor(c5, (1, 2, 3, 4, 5))
