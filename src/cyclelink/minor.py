@@ -9,6 +9,7 @@ and is exhaustive: returning None proves non-containment.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
@@ -114,9 +115,9 @@ def find_rooted_cycle_minor(g: Graph, seq) -> MinorModel | None:
 def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] | None:
     """Route demands d..k-1 (X_i to X_{i+1}, cyclically); exhaustive.
 
-    A model exists below a state iff this returns one.  Two prunings skip
-    only children that cannot succeed, so the first model found is the
-    one the unpruned search finds:
+    A model exists below a state iff this returns one.  Three prunings
+    skip only children that cannot succeed, so the first model found is
+    the one the unpruned search finds:
 
     - *Dominated cuts.*  For d >= 1, X_d is never read again once demand
       d is routed: later demands read X_{d+1}..X_{k-1} and X_0 only.  A
@@ -133,24 +134,40 @@ def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] |
       Different states never share a child (with the whole path given
       to X_{d+1}, each set is recoverable from the child), so a table
       over whole states across the call would find nothing more.
+    - *Fixed demands.*  Routing demand d grows X_{d+1} only, and at d = 0
+      also X_0.  Every other open demand i (2..k-2 at d = 0, d+2..k-1 at
+      d >= 1) joins two sets the path leaves alone, and its route must
+      use ``free`` minus the path, which only shrinks as the path grows.
+      Once such a demand cannot be routed, no extension of the path
+      passes ``_demands_feasible``, so ``_paths_between`` takes these
+      demands as guards and drops the branch there; a child then checks
+      only the demands on the sets that grew (``grown``).
 
-    Every call at depth d >= 1 comes from a parent that has just checked
-    ``_demands_feasible(g, sets, free, d, k)`` with these very sets and
-    free set.  When X_d already touches X_{d+1}, the state passes on to
-    depth d + 1 unchanged, so its open demands are a subset of those and
-    need no second check; only the root call at d = 0 is unchecked.
+    Every call at depth d >= 1 comes from a parent that has just made
+    demands d..k-1 feasible for these very sets and free set: it checked
+    the grown demands, and the guards covered the rest.  When X_d already
+    touches X_{d+1}, the state passes on to depth d + 1 unchanged, so its
+    open demands are a subset of those and need no second check; only the
+    root call at d = 0 is unchecked.
     """
     if d == k:
         return list(sets)
     i, j = d, (d + 1) % k
     if g.touches(sets[i], sets[j]):
-        if d > 0 or _demands_feasible(g, sets, free, 1, k):
+        if d > 0 or _demands_feasible(g, sets, free, range(1, k)):
             return _search(g, sets, free, d + 1, k)
         return None
+    # fixed demands (see the docstring) become guards of the path search
+    grown = (1, k - 1) if d == 0 else range(d + 1, min(d + 2, k))
+    guards = []
+    for f in range(2, k - 1) if d == 0 else range(d + 2, k):
+        near = g.nbr_mask(sets[(f + 1) % k])
+        if not sets[f] & near:
+            guards.append((g.nbr_mask(sets[f]), near))
     # route a path from X_i to X_j through free vertices: at d = 0 any
     # prefix of it may join X_i, at d >= 1 all of it joins X_j
     tried = set()
-    for path, pmask in _paths_between(g, sets[i], sets[j], free, distinct=d > 0):
+    for path, pmask in _paths_between(g, sets[i], sets[j], free, guards, distinct=d > 0):
         for head in accumulate((1 << v for v in path), or_, initial=0) if d == 0 else (0,):
             if (head, pmask) in tried:
                 continue
@@ -158,7 +175,7 @@ def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] |
             rest = pmask & ~head
             sets[i] |= head
             sets[j] |= rest
-            if _demands_feasible(g, sets, free & ~pmask, d + 1, k):
+            if _demands_feasible(g, sets, free & ~pmask, grown):
                 res = _search(g, sets, free & ~pmask, d + 1, k)
                 if res is not None:
                     return res
@@ -167,7 +184,14 @@ def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] |
     return None
 
 
-def _paths_between(g: Graph, am: int, bm: int, free: int, distinct: bool = False):
+def _paths_between(
+    g: Graph,
+    am: int,
+    bm: int,
+    free: int,
+    guards: Sequence[tuple[int, int]] = (),
+    distinct: bool = False,
+):
     """Yield (interior, vertex mask) of simple a-set..b-set paths through
     free vertices.
 
@@ -177,13 +201,28 @@ def _paths_between(g: Graph, am: int, bm: int, free: int, distinct: bool = False
     stack (one iterator per depth), so a long path cannot hit the
     recursion limit; ``left`` is ``free`` minus the current path.
 
+    ``guards`` are (source, target) masks of demands the path must leave
+    routable: a path is yielded or extended only while, for each guard,
+    the part of ``left`` reachable from ``source`` meets ``target``.
+    ``left`` only shrinks as the path grows, so a guard that fails stays
+    failed on every extension, and the search drops that branch whole;
+    the paths that are yielded come in the same order as without guards.
+    Each guard's region is kept per depth and recomputed only when the
+    new vertex lies in it (outside it, the region is unchanged).
+
     With ``distinct`` the search never re-enters a (last vertex, path
     set) state it has explored: every path through it has a vertex set
     already yielded, so a caller that reads only the sets skips nothing
     new, and the first path with each set comes in the same order.
     """
+    regions = []
+    for src, near in guards:
+        regions.append(g.reach_mask(src & free, free))
+        if not regions[-1] & near:
+            return
     path: list[int] = []
     frontier = [bits(g.nbr_mask(am) & free)]
+    held = [regions]  # guard regions, one entry per path vertex plus one
     left = free
     explored = set()
     while frontier:
@@ -192,26 +231,39 @@ def _paths_between(g: Graph, am: int, bm: int, free: int, distinct: bool = False
             frontier.pop()
             if path:
                 left |= 1 << path.pop()
+                held.pop()
             continue
         if distinct:
             if (v, left) in explored:
                 continue
             explored.add((v, left))
-        path.append(v)
-        left &= ~(1 << v)
-        nbrs = g.adj_mask(v)
-        if nbrs & bm:
-            yield list(path), free & ~left
-        frontier.append(bits(nbrs & left))
+        regions = []
+        for (src, near), region in zip(guards, held[-1]):
+            if region >> v & 1:
+                region &= ~(1 << v)
+                region = g.reach_mask(src & region, region)
+                if not region & near:
+                    break
+            regions.append(region)
+        else:
+            path.append(v)
+            held.append(regions)
+            left &= ~(1 << v)
+            nbrs = g.adj_mask(v)
+            if nbrs & bm:
+                yield list(path), free & ~left
+            frontier.append(bits(nbrs & left))
 
 
-def _demands_feasible(g: Graph, sets: list[int], free: int, d: int, k: int) -> bool:
-    """Fail fast: every open demand must still be routable through free.
+def _demands_feasible(g: Graph, sets: list[int], free: int, demands) -> bool:
+    """Fail fast: each demand i in ``demands`` (X_i to X_{i+1},
+    cyclically) must still be routable through free.
 
     X_i and X_j are disjoint, so X_i touches X_j iff it meets N(X_j),
     and a route exists iff the free region reached from N(X_i) does.
     """
-    for i in range(d, k):
+    k = len(sets)
+    for i in demands:
         near = g.nbr_mask(sets[(i + 1) % k])
         if sets[i] & near:
             continue

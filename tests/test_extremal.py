@@ -116,6 +116,14 @@ def test_generate_multiple_components():
     assert recognize(g, roots) is not None
 
 
+@pytest.mark.parametrize("spec", [[(1, 3), (2, 3), (3, 3), (4, 4)], [(1, 4), (3, 4), (5, 5)]])
+def test_generate_twenty_vertex_members(spec):
+    # the "no" proof inside generate() is the cost here
+    g, roots = generate(spec)
+    assert g.n == 20
+    assert recognize(g, roots) is not None
+
+
 def test_generate_rejects_bad_specs():
     with pytest.raises(GenerationError):
         generate([(0, 3)])

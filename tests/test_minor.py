@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from cyclelink.graph import Graph, complete_graph, cycle_graph, path_graph
 from cyclelink.harness import random_graph
 from cyclelink.minor import (
     MinorModel,
+    _paths_between,
     canonical_cyclic_orders,
     find_rooted_cycle_minor,
     is_cycle_linked,
@@ -221,6 +224,85 @@ def test_pruned_search_agrees_with_oracle_at_depth():
         assert (fast is None) == (slow is None), (list(g.edges()), seq)
         answers.add(fast is None)
     assert answers == {True, False}
+
+
+def test_oracle_agreement_on_connected_7_vertex_graphs():
+    # every connected 7-vertex graph of the networkx atlas, one seeded root
+    # set each for k = 4 and k = 5, every canonical order of both
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    rng = random.Random(7)
+    graphs = pairs = 0
+    answers = set()
+    for G in graph_atlas_g():
+        if G.number_of_nodes() != 7 or not nx.is_connected(G):
+            continue
+        graphs += 1
+        g = Graph(range(7), list(G.edges()))
+        for k in (4, 5):
+            for order in canonical_cyclic_orders(rng.sample(range(7), k)):
+                fast = find_rooted_cycle_minor(g, order)
+                slow = naive_rooted_cycle_minor(g, order)
+                assert (fast is None) == (slow is None), (list(g.edges()), order)
+                answers.add(fast is None)
+                pairs += 1
+    assert (graphs, pairs) == (853, 12795)
+    assert answers == {True, False}
+
+
+def _routes(g, guards, left):
+    return all(g.reach_mask(src & left, left) & near for src, near in guards)
+
+
+def test_path_guards_drop_exactly_the_unroutable_paths():
+    # the guarded search yields exactly the unguarded paths whose leftover
+    # free set still routes every guard, in the same order (sparse graphs,
+    # mean degree 2.5-5, keep the unguarded enumeration small)
+    rng = random.Random(11)
+    kept = dropped = 0
+    for _ in range(300):
+        n = rng.randint(8, 14)
+        g = random_graph(rng, n, rng.uniform(2.5, 5) / n)
+        vs = rng.sample(range(n), n)
+        a, b, rest = vs[0], vs[1], vs[2:]
+        guards = []
+        for _ in range(rng.randint(1, 3)):
+            x, y = rest.pop(), rest.pop()
+            guards.append((g.nbr_mask(1 << x), g.nbr_mask(1 << y)))
+        free = sum(1 << v for v in rest)
+        for distinct in (False, True):
+            plain = list(_paths_between(g, 1 << a, 1 << b, free, distinct=distinct))
+            want = [(p, pm) for p, pm in plain if _routes(g, guards, free & ~pm)]
+            got = list(_paths_between(g, 1 << a, 1 << b, free, guards, distinct))
+            assert got == want, (list(g.edges()), a, b, guards, free, distinct)
+            kept += len(got)
+            dropped += len(plain) - len(got)
+    assert kept > 100 and dropped > 100
+
+
+ENGINE_MODELS_SHA256 = "3becaf145bdae50ce759b0efa248d4e5a551a76b57f4a409e47bf0423fbf0ff9"
+
+
+def test_engine_models_pinned(e2):
+    # the prunings skip only children that cannot succeed, so the first
+    # model found (or None) must never change: a digest of 400 seeded
+    # random instances and every order of the 13-vertex family member
+    digest = hashlib.sha256()
+
+    def record(g, seq):
+        m = find_rooted_cycle_minor(g, seq)
+        digest.update(json.dumps(m.to_json_dict() if m else None).encode() + b"\n")
+
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(7, 13)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+        record(g, tuple(rng.sample(range(n), rng.randint(3, 6))))
+    g, roots = e2
+    for order in canonical_cyclic_orders(roots):
+        record(g, order)
+    assert digest.hexdigest() == ENGINE_MODELS_SHA256
 
 
 def test_minimal_certificates():
