@@ -44,7 +44,7 @@ def brute_force_massed(g: Graph, x, lam) -> tuple[bool, bool]:
     xm = g.mask(x)
     verts = g.vertices()
     rest = g.vertex_mask & ~xm
-    m1 = Fraction(g.rho(bits(rest))) > lam * rest.bit_count()
+    m1 = Fraction(g.rho(rest)) > lam * rest.bit_count()
     order_bound = xm.bit_count()
     m2 = True
     for choice in product((0, 1, 2), repeat=len(verts)):
@@ -62,7 +62,7 @@ def brute_force_massed(g: Graph, x, lam) -> tuple[bool, bool]:
         b_only = bm & ~am
         if any(g.adj_mask(u) & b_only for u in bits(a_only)):
             continue
-        if Fraction(g.rho(bits(b_only))) > lam * b_only.bit_count():
+        if Fraction(g.rho(b_only)) > lam * b_only.bit_count():
             m2 = False
             break
     return m1, m2

@@ -211,7 +211,7 @@ def is_massed(g: Graph, x, lam) -> MassedReport:
     if not xm:
         raise GraphError("is_massed needs a nonempty root set")
     rest = g.vertex_mask & ~xm
-    m1_slack = Fraction(g.rho(bits(rest))) - lam * rest.bit_count()
+    m1_slack = Fraction(g.rho(rest)) - lam * rest.bit_count()
     m1 = m1_slack > 0
 
     order = xm.bit_count() - 1
@@ -226,10 +226,10 @@ def is_massed(g: Graph, x, lam) -> MassedReport:
         allowed = g.vertex_mask & ~sm
         # the components of G - S avoiding X: all that X∖S does not reach
         left = allowed & ~g.reach_mask(xm & ~sm, allowed)
-        while left:
-            comp = g.reach_mask(left & -left, left)
-            left &= ~comp
-            slack = Fraction(g.rho(bits(comp))) - lam * comp.bit_count()
+        if not left:  # always the case when G is |X|-connected
+            continue
+        for comp in g.components(left):
+            slack = Fraction(g.rho(comp)) - lam * comp.bit_count()
             if slack > 0:
                 a_side = frozenset(bits(g.vertex_mask & ~comp))
                 b_side = frozenset(bits(comp | g.nbr_mask(comp)))

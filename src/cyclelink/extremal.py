@@ -34,30 +34,37 @@ class ExtremalCertificate:
         }
 
     def verify(self, g: Graph) -> bool:
-        """Re-check every certificate invariant against the host graph."""
+        """Re-check every certificate invariant against the host graph; a
+        malformed certificate (unknown ids, an index outside 0..4) fails."""
         xs = self.roots
-        if len(xs) != 5 or len(set(xs)) != 5:
+        if len(xs) != 5 or len(self.apex_pair) != 2:
+            return False
+        if not all(type(i) is int and 0 <= i < 5 for _, i in self.components):
             return False
         a, b = self.apex_pair
-        if a in xs or b in xs or not g.has_edge(a, b):
+        try:
+            xm, apex = g.mask(xs), g.mask((a, b))
+            comps = [g.mask(c) for c, _ in self.components]
+        except GraphError:
+            return False
+        if xm.bit_count() != 5 or xm & apex or not g.adj_mask(a) >> b & 1:
             return False
         for i in range(5):
-            if g.has_edge(xs[i], xs[(i + 1) % 5]):
+            nbrs = g.adj_mask(xs[i])
+            if nbrs >> xs[(i + 1) % 5] & 1 or nbrs & apex != apex:
                 return False
-            if not g.has_edge(a, xs[i]) or not g.has_edge(b, xs[i]):
-                return False
-        comps = g.delete(set(xs) | {a, b}).components()
-        claimed = {frozenset(c) for c, _ in self.components}
-        if claimed != {frozenset(c) for c in comps}:
+        rest = g.vertex_mask & ~xm
+        if sorted(comps) != sorted(g.components(rest & ~apex)):
             return False
-        for c, i in self.components:
-            if g.rho(c) != 5 * len(c):
+        for cm, (_, i) in zip(comps, self.components):
+            if g.rho(cm) != 5 * cm.bit_count() or g.nbr_mask(cm) & ~_attachments(xs, apex, i):
                 return False
-            allowed = {a, b, xs[i], xs[(i + 2) % 5]}
-            if not g.neighborhood(c) <= allowed:
-                return False
-        rest = set(g.vertices()) - set(xs)
-        return g.rho(rest) == 5 * len(rest) + 1
+        return g.rho(rest) == 5 * rest.bit_count() + 1
+
+
+def _attachments(xs, apex: int, i: int) -> int:
+    """Mask of {a, b, x_i, x_{i+2}}: where component i may attach."""
+    return apex | 1 << xs[i] | 1 << xs[(i + 2) % 5]
 
 
 def recognize(g: Graph, seq) -> ExtremalCertificate | None:
@@ -74,22 +81,25 @@ def recognize(g: Graph, seq) -> ExtremalCertificate | None:
         raise GraphError(f"recognizer needs exactly 5 roots, got {len(xs)}")
     xm = _validate_roots(g, xs)
     rest = g.vertex_mask & ~xm
-    if g.rho(bits(rest)) != 5 * rest.bit_count() + 1:
+    if g.rho(rest) != 5 * rest.bit_count() + 1:
         return None
     # apex candidates: adjacent pairs outside X dominating every root
     dominating = [v for v in bits(rest) if g.adj_mask(v) & xm == xm]
     for i, a in enumerate(dominating):
         for b in dominating[i + 1:]:
-            if not g.has_edge(a, b):
+            if not g.adj_mask(a) >> b & 1:
                 continue
-            comps = [frozenset(c) for c in g.delete(set(xs) | {a, b}).components()]
+            apex = 1 << a | 1 << b
+            comps = g.components(rest & ~apex)
             # first attachment index that fits; 0 when none does, which
             # verify() then rejects
             fits = [
-                next((i for i in range(5) if nb <= {a, b, xs[i], xs[(i + 2) % 5]}), 0)
-                for nb in map(g.neighborhood, comps)
+                next((i for i in range(5) if not g.nbr_mask(c) & ~_attachments(xs, apex, i)), 0)
+                for c in comps
             ]
-            cert = ExtremalCertificate(xs, (a, b), tuple(zip(comps, fits)))
+            cert = ExtremalCertificate(
+                xs, (a, b), tuple((frozenset(bits(c)), i) for c, i in zip(comps, fits))
+            )
             if cert.verify(g):
                 return cert
     return None

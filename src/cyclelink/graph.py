@@ -3,7 +3,8 @@
 Adjacency is kept as one Python int bitmask per vertex (bit position =
 vertex id), which makes neighborhood intersections, unions, and the
 counting primitives single big-int operations.  Graphs are immutable
-after construction: every transform returns a new Graph.
+after construction.  Vertex sets are passed as masks; ``mask`` turns
+vertex ids into one and is the one check that every id is known.
 """
 
 from __future__ import annotations
@@ -52,14 +53,6 @@ class Graph:
         self._vmask = mask_of(adj)
         self._m = sum(bm.bit_count() for bm in adj.values()) // 2
 
-    @classmethod
-    def _from_adj(cls, adj: dict[int, int]) -> "Graph":
-        g = cls.__new__(cls)
-        g._adj = adj
-        g._vmask = mask_of(adj)
-        g._m = sum(bm.bit_count() for bm in adj.values()) // 2
-        return g
-
     # basic accessors
 
     @property
@@ -86,24 +79,10 @@ class Graph:
                 if v > u:
                     yield (u, v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check(u)
-        self._check(v)
-        return bool(self._adj[u] >> v & 1)
-
     def adj_mask(self, v: int) -> int:
-        self._check(v)
-        return self._adj[v]
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits(self.adj_mask(v)))
-
-    def degree(self, v: int) -> int:
-        return self.adj_mask(v).bit_count()
-
-    def _check(self, v: int) -> None:
         if v not in self._adj:
             raise GraphError(f"unknown vertex id {v}")
+        return self._adj[v]
 
     def mask(self, vertices: Iterable[int]) -> int:
         """Bitmask of ``vertices``; raises GraphError on an unknown id."""
@@ -118,38 +97,16 @@ class Graph:
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
 
-    def __hash__(self):
-        return hash((self._vmask, self._m, tuple(sorted(self._adj.items()))))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    # counting primitives
-
-    def edge_count_between(self, x: Iterable[int], y: Iterable[int]) -> int:
-        """Number of edges with one end in x and one end in y.
-
-        An edge with both ends in the overlap x∩y counts once.
-        """
-        xm = self.mask(x)
-        ym = self.mask(y)
-        count = sum((self._adj[u] & ym).bit_count() for u in bits(xm))
-        both = xm & ym
-        # edges inside x∩y were counted from each end
-        count -= sum((self._adj[u] & both).bit_count() for u in bits(both)) // 2
-        return count
-
-    def rho(self, x: Iterable[int]) -> int:
-        """Number of edges with at least one end in x."""
-        xm = self.mask(x)
-        inside = sum((self._adj[u] & xm).bit_count() for u in bits(xm)) // 2
-        return sum((self._adj[u]).bit_count() for u in bits(xm)) - inside
-
-    def neighborhood(self, x: Iterable[int]) -> set[int]:
-        """N(X): vertices outside x adjacent to some vertex of x."""
-        return set(bits(self.nbr_mask(self.mask(x))))
-
     # mask primitives (masks must hold known vertices only)
+
+    def rho(self, xm: int) -> int:
+        """Number of edges with at least one end in ``xm``."""
+        adj = self._adj
+        inside = sum((adj[u] & xm).bit_count() for u in bits(xm)) // 2
+        return sum(adj[u].bit_count() for u in bits(xm)) - inside
 
     def touches(self, am: int, bm: int) -> bool:
         """Whether some vertex of ``am`` has a neighbor in ``bm``."""
@@ -167,35 +124,6 @@ class Graph:
         for u in bits(sm):
             nm |= self._adj[u]
         return nm & ~sm
-
-    # transforms (return new graphs)
-
-    def induced(self, x: Iterable[int]) -> "Graph":
-        xm = self.mask(x)
-        return Graph._from_adj({v: self._adj[v] & xm for v in bits(xm)})
-
-    def delete(self, s: Iterable[int]) -> "Graph":
-        sm = self.mask(s)
-        return self.induced(bits(self._vmask & ~sm))
-
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise GraphError(f"no edge {u}-{v}")
-        adj = dict(self._adj)
-        adj[u] = adj[u] & ~(1 << v)
-        adj[v] = adj[v] & ~(1 << u)
-        return Graph._from_adj(adj)
-
-    def add_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj = dict(self._adj)
-        for u, v in edges:
-            self._check(u)
-            self._check(v)
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return Graph._from_adj(adj)
 
     # connectivity helpers
 
@@ -222,18 +150,14 @@ class Graph:
         start = xm & -xm
         return self.reach_mask(start, xm) == xm
 
-    def is_connected(self) -> bool:
-        return self.is_connected_mask(self._vmask)
-
-    def components(self) -> list[set[int]]:
-        """Vertex sets of connected components, sorted by smallest member."""
+    def components(self, within: int) -> list[int]:
+        """Masks of the connected components of G[within], ordered by
+        lowest member."""
         out = []
-        left = self._vmask
-        while left:
-            start = left & -left
-            comp = self.reach_mask(start, left)
-            out.append(set(bits(comp)))
-            left &= ~comp
+        while within:
+            comp = self.reach_mask(within & -within, within)
+            out.append(comp)
+            within &= ~comp
         return out
 
 

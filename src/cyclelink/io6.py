@@ -80,22 +80,18 @@ def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (vertices relabeled by sort order)."""
     order = g.vertices()
     n = len(order)
-    index = {v: i for i, v in enumerate(order)}
     if n <= 62:
         out = [chr(n + 63)]
     elif n <= 258047:
         out = [chr(126), chr((n >> 12) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
     else:
         raise GraphError(f"graph too large for graph6 writer: n={n}")
-    adj = set()
-    for u, v in g.edges():
-        a, b = index[u], index[v]
-        adj.add((min(a, b), max(a, b)))
     acc = 0
     have = 0
     for v in range(1, n):
+        row = g.adj_mask(order[v])
         for u in range(v):
-            acc = (acc << 1) | ((u, v) in adj)
+            acc = (acc << 1) | (row >> order[u] & 1)
             have += 1
             if have == 6:
                 out.append(chr(acc + 63))

@@ -57,10 +57,18 @@ def verify_model(g: Graph, seq: tuple[int, ...], m: MinorModel) -> ModelCheck:
     masks = []
     for i, bs in enumerate(m.branch_sets):
         try:
-            bm = g.mask(bs)
+            masks.append(g.mask(bs))
         except GraphError:
             return ModelCheck(False, f"branch set {i} contains unknown vertices")
-        masks.append(bm)
+    return _check_masks(g, seq, masks)
+
+
+def _check_masks(g: Graph, seq: tuple[int, ...], masks: list[int]) -> ModelCheck:
+    """The model invariants on branch-set masks of known vertices: each
+    set holds its root and is connected, the sets are pairwise disjoint,
+    and consecutive sets (cyclically) touch."""
+    k = len(seq)
+    for i, bm in enumerate(masks):
         if not (bm >> seq[i]) & 1:
             return ModelCheck(False, f"root {seq[i]} not in branch set {i}")
         if not g.is_connected_mask(bm):
@@ -105,11 +113,11 @@ def find_rooted_cycle_minor(g: Graph, seq) -> MinorModel | None:
     found = _search(g, sets, free, 0, k)
     if found is None:
         return None
-    model = MinorModel(seq, tuple(frozenset(bits(bm)) for bm in _minimize(g, seq, found)))
-    check = verify_model(g, seq, model)
+    masks = _minimize(g, seq, found)
+    check = _check_masks(g, seq, masks)
     if not check:
         raise CertificateError(f"engine model fails verification: {check.reason}")
-    return model
+    return MinorModel(seq, tuple(frozenset(bits(bm)) for bm in masks))
 
 
 def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] | None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .connectivity import is_massed
 from .errors import CertificateError, FalsifierError, GraphError, NotMassedError
 from .extremal import recognize
-from .graph import Graph
+from .graph import Graph, bits
 from .io6 import to_graph6
 from .minor import _validate_roots, find_rooted_cycle_minor, verify_model
 
@@ -61,10 +61,10 @@ def solve(g: Graph, seq, trace: ReductionTrace | None = None):
         artifact = {"graph6": to_graph6(g), "order": list(seq)}
         trace.add(rule="falsifier", **artifact)
         raise FalsifierError(artifact)
-    common = set(g.vertices())
+    common = g.vertex_mask
     for x in seq:
-        common &= set(g.neighbors(x))
-    trace.add(rule="certificate", common_root_neighbors=sorted(common))
+        common &= g.adj_mask(x)
+    trace.add(rule="certificate", common_root_neighbors=list(bits(common)))
     if not cert.verify(g):
         raise CertificateError("extremal certificate fails verification")
     return cert

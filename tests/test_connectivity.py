@@ -78,14 +78,13 @@ def _assert_menger_duality(g, src, snk, k, res):
         assert is_valid_separation(g, src & res.a_side, res)
         # and the middle really does separate
         sm = res.a_side & res.b_side
-        g2 = g.delete(sm) if sm else g
-        left_src = src - sm
-        left_snk = snk - sm
+        left_src = g.mask(src - sm)
+        left_snk = g.mask(snk - sm)
         if left_src and left_snk:
-            reach = set()
-            for comp in g2.components():
-                if set(comp) & left_src:
-                    reach |= set(comp)
+            reach = 0
+            for comp in g.components(g.vertex_mask & ~g.mask(sm)):
+                if comp & left_src:
+                    reach |= comp
             assert not reach & left_snk
 
 
@@ -193,10 +192,10 @@ def assert_tight_violator(g, x, rep):
     v = rep.m2_violator
     assert v is not None and not rep.m2_holds
     assert is_valid_separation(g, x, v)
-    b_only = set(v.b_side) - set(v.a_side)
-    assert v.a_side & v.b_side == g.neighborhood(b_only)
+    b_only = g.mask(v.b_side - v.a_side)
+    assert g.mask(v.a_side & v.b_side) == g.nbr_mask(b_only)
     assert v.order < len(x)
-    assert g.rho(b_only) > rep.lam * len(b_only)
+    assert g.rho(b_only) > rep.lam * b_only.bit_count()
 
 
 def test_massed_m2_violator_is_reported():

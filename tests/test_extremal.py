@@ -3,7 +3,7 @@ import pytest
 from cyclelink.connectivity import is_massed
 from cyclelink.errors import GenerationError, GraphError
 from cyclelink.extremal import ExtremalCertificate, generate, recognize
-from cyclelink.graph import complete_graph, cycle_graph
+from cyclelink.graph import Graph, complete_graph, cycle_graph
 from cyclelink.minor import canonical_cyclic_orders, find_rooted_cycle_minor
 from cyclelink.reducer import solve
 
@@ -16,8 +16,8 @@ def test_core_member_sizes(e0, e1, e2):
 
 def test_global_density_is_exact(e0, e1, e2):
     for g, roots in (e0, e1, e2):
-        rest = set(g.vertices()) - set(roots)
-        assert g.rho(rest) == 5 * len(rest) + 1
+        rest = g.vertex_mask & ~g.mask(roots)
+        assert g.rho(rest) == 5 * rest.bit_count() + 1
 
 
 def test_members_are_massed_but_not_linked(e0, e1, e2):
@@ -37,8 +37,8 @@ def test_recognizer_returns_verified_certificate(e1):
     assert len(comp) == 3
     # attachments are {a, b, x_idx, x_{idx+2}}
     order = cert.roots
-    allowed = {*cert.apex_pair, order[idx], order[(idx + 2) % 5]}
-    assert g.neighborhood(comp) <= allowed
+    allowed = g.mask({*cert.apex_pair, order[idx], order[(idx + 2) % 5]})
+    assert not g.nbr_mask(g.mask(comp)) & ~allowed
 
 
 def test_recognizer_rejects_non_members():
@@ -51,10 +51,11 @@ def test_recognizer_rejects_non_members():
 def test_recognizer_rejects_perturbed_member(e1):
     g, roots = e1
     # an extra root-component edge breaks the global density target
-    broken = g.add_edges([(2, 8)])
+    broken = Graph(g.vertices(), [*g.edges(), (2, 8)])
     assert recognize(broken, roots) is None
     # deleting an apex-root edge breaks it the other way
-    broken = g.delete_edge(6, 1)
+    broken = Graph(g.vertices(), [e for e in g.edges() if e != (1, 6)])
+    assert broken.m == g.m - 1
     assert recognize(broken, roots) is None
 
 
@@ -89,6 +90,20 @@ def test_certificate_verify_catches_tampering(e1):
     assert not bad_comp.verify(g)
 
 
+def test_certificate_verify_rejects_malformed(e1):
+    g, roots = e1
+    cert = recognize(g, roots)
+    (comp, idx), = cert.components
+    assert idx == 0
+    # unknown root and apex ids
+    assert not ExtremalCertificate((1, 2, 3, 4, 99), cert.apex_pair, cert.components).verify(g)
+    assert not ExtremalCertificate(cert.roots, (6, 99), cert.components).verify(g)
+    assert not ExtremalCertificate(cert.roots, (6, 7, 8), cert.components).verify(g)
+    # attachment indices outside 0..4, including one that Python would wrap to 0
+    for bad in (5, -5, -1, "0", 0.0):
+        assert not ExtremalCertificate(cert.roots, cert.apex_pair, ((comp, bad),)).verify(g)
+
+
 def test_certificate_json(e1):
     g, roots = e1
     cert = recognize(g, roots)
@@ -100,10 +115,10 @@ def test_certificate_json(e1):
 def test_generate_bigger_components():
     g, roots = generate([(2, 5)])
     assert g.n == 12
-    rest = set(g.vertices()) - set(roots)
-    assert g.rho(rest) == 5 * len(rest) + 1
-    comps = g.delete(set(roots) | {6, 7}).components()
-    assert len(comps) == 1 and len(comps[0]) == 5
+    rest = g.vertex_mask & ~g.mask(roots)
+    assert g.rho(rest) == 5 * rest.bit_count() + 1
+    comps = g.components(rest & ~g.mask([6, 7]))
+    assert len(comps) == 1 and comps[0].bit_count() == 5
     assert g.rho(comps[0]) == 5 * 5
     assert recognize(g, roots) is not None
     assert find_rooted_cycle_minor(g, roots) is None

@@ -67,7 +67,7 @@ def test_corpus_reads(corpus_path):
     assert len(graphs) == 143
     by_n = {}
     for g in graphs:
-        assert g.is_connected()
+        assert g.is_connected_mask(g.vertex_mask)
         by_n[g.n] = by_n.get(g.n, 0) + 1
     assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 
