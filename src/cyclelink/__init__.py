@@ -30,7 +30,7 @@ from .minor import (
     path_exists,
     verify_model,
 )
-from .reducer import ReductionTrace, solve
+from .reducer import solve
 
 __all__ = [
     "CertificateError",
@@ -46,7 +46,6 @@ __all__ = [
     "MinorModel",
     "NotMassedError",
     "PathSystem",
-    "ReductionTrace",
     "ResourceGuardError",
     "Separation",
     "UnsupportedError",

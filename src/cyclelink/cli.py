@@ -25,10 +25,10 @@ from .errors import (
     GraphError,
     NotMassedError,
 )
-from .extremal import APEX_PAIR, ExtremalCertificate, generate
+from .extremal import APEX_PAIR, generate
 from .io6 import load_graph, to_graph6
 from .minor import MinorModel, find_rooted_cycle_minor, is_cycle_linked
-from .reducer import ReductionTrace, solve
+from .reducer import solve
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -78,26 +78,32 @@ def cmd_massed(args) -> int:
 def cmd_solve(args) -> int:
     g = load_graph(args.file)
     roots = _parse_ids(args.roots)
-    trace = ReductionTrace()
     try:
-        result = solve(g, roots, trace)
+        result = solve(g, roots)
     except NotMassedError as exc:
         _emit({"verdict": "not-massed", "report": exc.report.to_json_dict()})
         return EXIT_NO
     except FalsifierError as exc:
+        _explain(args, {"rule": "falsifier", **exc.artifact})
         _emit({"verdict": "falsifier", "artifact": exc.artifact})
         return EXIT_NO
-    finally:
-        if args.explain:
-            for step in trace.steps:
-                print(json.dumps(step, sort_keys=True), file=sys.stderr)
     if isinstance(result, MinorModel):
+        _explain(args)
         _emit({"verdict": "model", "model": result.to_json_dict()})
         return EXIT_YES
-    if not isinstance(result, ExtremalCertificate):
-        raise CertificateError(f"solve returned {type(result).__name__}")
+    # verify() passed, so the roots' common neighbours are exactly {a, b}: a
+    # component vertex has its outside neighbours in {a, b, x_i, x_{i+2}},
+    # so it touches at most two roots, and no root is adjacent to itself
+    _explain(args, {"common_root_neighbors": list(result.apex_pair), "rule": "certificate"})
     _emit({"verdict": "extremal", "certificate": result.to_json_dict()})
     return EXIT_NO
+
+
+def _explain(args, *decided: dict) -> None:
+    """--explain: the engine's search, then the rule that decided a "no"."""
+    if args.explain:
+        for step in ({"rule": "fallback-search"}, *decided):
+            print(json.dumps(step, sort_keys=True), file=sys.stderr)
 
 
 def cmd_gen_extremal(args) -> int:

@@ -42,14 +42,13 @@ class Separation:
 
 
 def is_valid_separation(g: Graph, x, sep: Separation) -> bool:
-    am = g.mask(sep.a_side)
-    bm = g.mask(sep.b_side)
-    if (am | bm) != g.vertex_mask:
-        return False
-    xm = g.mask(x)
-    if xm & am != xm:
-        return False
-    return not g.touches(am & ~bm, bm & ~am)
+    return _separates(g, g.mask(x), g.mask(sep.a_side), g.mask(sep.b_side))
+
+
+def _separates(g: Graph, xm: int, am: int, bm: int) -> bool:
+    """(A, B) is a separation of g with X ⊆ A: A∪B = V(G), and no edge
+    joins A∖B to B∖A."""
+    return am | bm == g.vertex_mask and not xm & ~am and not g.touches(am & ~bm, bm & ~am)
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,10 @@ def menger(g: Graph, sources, sinks, k: int):
     if flow < k:
         # A: entries the last search reached; the cut: those whose exit it did not
         b_side = g.vertex_mask & ~entries | entries & ~exits
-        sep = Separation(frozenset(bits(entries)), frozenset(bits(b_side)))
-        if sep.order != flow or tm & ~b_side or not is_valid_separation(g, bits(sm), sep):
-            raise CertificateError(f"invalid separation of order {sep.order} for a flow of {flow}")
-        return sep
+        order = (entries & b_side).bit_count()
+        if order != flow or tm & ~b_side or not _separates(g, sm, entries, b_side):
+            raise CertificateError(f"invalid separation of order {order} for a flow of {flow}")
+        return Separation(frozenset(bits(entries)), frozenset(bits(b_side)))
     paths = []
     for v in bits(used & ~mask_of(nxt.values())):
         path = [v]
@@ -156,9 +155,26 @@ def menger(g: Graph, sources, sinks, k: int):
         # keep the stretch from the last source to the first sink after it
         path = path[max(i for i, w in enumerate(path) if sm >> w & 1):]
         paths.append(tuple(path[: min(i for i, w in enumerate(path) if tm >> w & 1) + 1]))
-    if len(paths) != flow:
-        raise CertificateError(f"extracted {len(paths)} paths from a flow of {flow}")
+    if len(paths) != flow or not _is_path_system(adj, sm, tm, paths):
+        raise CertificateError(f"extracted paths are not {flow} disjoint paths")
     return PathSystem(tuple(paths))
+
+
+def _is_path_system(adj: dict[int, int], sm: int, tm: int, paths) -> bool:
+    """Each path runs along edges from a source to a sink and meets the
+    terminals only at its ends, and no two paths share a vertex."""
+    seen = 0
+    for p in paths:
+        if not (sm >> p[0] & 1 and tm >> p[-1] & 1):
+            return False
+        if not all(adj[u] >> v & 1 for u, v in zip(p, p[1:])):
+            return False
+        inner = mask_of(p[1:-1])
+        pm = inner | 1 << p[0] | 1 << p[-1]
+        if inner & (sm | tm) or pm & seen or pm.bit_count() != len(p):
+            return False
+        seen |= pm
+    return True
 
 
 @dataclass(frozen=True)
@@ -231,10 +247,11 @@ def is_massed(g: Graph, x, lam) -> MassedReport:
         for comp in g.components(left):
             slack = Fraction(g.rho(comp)) - lam * comp.bit_count()
             if slack > 0:
-                a_side = frozenset(bits(g.vertex_mask & ~comp))
-                b_side = frozenset(bits(comp | g.nbr_mask(comp)))
-                violator = Separation(a_side, b_side)
-                if violator.order > order or not is_valid_separation(g, bits(xm), violator):
+                a_side, b_side = g.vertex_mask & ~comp, comp | g.nbr_mask(comp)
+                b_only = b_side & ~a_side  # the (M2) violation: order < |X|, B∖A dense
+                ok = (a_side & b_side).bit_count() <= order and _separates(g, xm, a_side, b_side)
+                if not ok or not g.rho(b_only) > lam * b_only.bit_count():
                     raise CertificateError("(M2) violator fails verification")
+                violator = Separation(frozenset(bits(a_side)), frozenset(bits(b_side)))
                 return MassedReport(lam, m1, m1_slack, False, violator)
     return MassedReport(lam, m1, m1_slack, True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GenerationError, GraphError
+from .errors import CertificateError, GenerationError, GraphError
 from .graph import Graph, bits
 from .minor import _validate_roots, find_rooted_cycle_minor
 
@@ -117,7 +117,8 @@ def generate(component_spec):
     attachments (density exactly 5|C|); extra vertices keep the density
     tight by adding exactly five edges each.  The result must pass the
     recognizer (which re-checks both densities), and the exact engine
-    must confirm the canonical order has no C5-minor.
+    must confirm the canonical order has no C5-minor; otherwise
+    CertificateError is raised.  A bad spec raises GenerationError.
 
     Returns (graph, roots).
     """
@@ -147,13 +148,13 @@ def generate(component_spec):
             core.append(w)
     g = Graph(roots + (a, b), edges)
 
-    # every realization is re-verified, never trusted
+    # every realization is re-checked; a failure is a fault, not a bad spec
     if recognize(g, roots) is None:
-        raise GenerationError("generated instance fails the recognizer")
+        raise CertificateError("generated instance fails the recognizer")
     if find_rooted_cycle_minor(g, roots) is not None:
         from .io6 import to_graph6
 
-        raise GenerationError(
+        raise CertificateError(
             "generated instance admits a C5-minor for the canonical order; "
             f"archived graph6: {to_graph6(g)}"
         )

@@ -6,12 +6,13 @@ import sys
 import pytest
 
 import cyclelink.cli
-import cyclelink.reducer
+import cyclelink.extremal
+import cyclelink.minor
 from cyclelink.cli import EXIT_CRASH, EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from cyclelink.extremal import generate, recognize
 from cyclelink.graph import complete_graph, cycle_graph, path_graph
 from cyclelink.io6 import to_graph6
-from cyclelink.minor import ModelCheck
+from cyclelink.minor import MinorModel, ModelCheck
 
 
 def write_g6(tmp_path, g, name="g.g6"):
@@ -211,10 +212,26 @@ def test_crash_is_not_a_no(tmp_path, capsys, monkeypatch):
 
 def test_failed_self_check_is_a_crash(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        cyclelink.reducer, "verify_model", lambda g, seq, m: ModelCheck(False, "forced")
+        cyclelink.minor, "_check_masks", lambda g, seq, masks: ModelCheck(False, "forced")
     )
     path = write_g6(tmp_path, complete_graph(list(range(8))))
     code, payload, _ = run(capsys, "solve", "--roots", "0,1,2,3,4", path)
+    assert code == EXIT_CRASH
+    assert payload["error"].startswith("CertificateError")
+
+
+@pytest.mark.parametrize(
+    "name, fake",
+    [
+        ("recognize", lambda g, seq: None),
+        ("find_rooted_cycle_minor", lambda g, seq: MinorModel(tuple(seq), ())),
+    ],
+)
+def test_gen_extremal_failed_self_check_is_a_crash(capsys, monkeypatch, name, fake):
+    # a member that fails the recognizer, or has a model for its canonical
+    # order, is the generator's fault, not a bad spec
+    monkeypatch.setattr(cyclelink.extremal, name, fake)
+    code, payload, _ = run(capsys, "gen-extremal", "--spec", "1:3")
     assert code == EXIT_CRASH
     assert payload["error"].startswith("CertificateError")
 

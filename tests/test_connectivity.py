@@ -216,11 +216,64 @@ def test_emitted_separations_are_rechecked(monkeypatch):
     blob = Graph([0, 1, 2], [(0, 1), (1, 2), (2, 10)] + list(k5.edges()))
     assert isinstance(menger(p5, {0}, {4}, 2), Separation)
     assert is_massed(blob, {0, 1, 2}, 1).m2_violator is not None
-    monkeypatch.setattr(cyclelink.connectivity, "is_valid_separation", lambda g, x, sep: False)
+    monkeypatch.setattr(cyclelink.connectivity, "_separates", lambda g, xm, am, bm: False)
     with pytest.raises(CertificateError):
         menger(p5, {0}, {4}, 2)
     with pytest.raises(CertificateError):
         is_massed(blob, {0, 1, 2}, 1)
+
+
+def test_m2_violator_density_is_rechecked():
+    class InflatedRho(Graph):
+        """Over-reports rho on the first query of each mask."""
+
+        seen: set = set()
+
+        def rho(self, xm):
+            first = xm not in self.seen
+            self.seen.add(xm)
+            return super().rho(xm) + 100 * first
+
+    # every component that avoids X has rho(C) <= 2|C|, so the first one
+    # scanned only looks dense, and the violator's own check must see that
+    p5 = InflatedRho(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert is_massed(path_graph(range(5)), {0, 1, 2}, 2).m2_holds
+    with pytest.raises(CertificateError, match="violator"):
+        is_massed(p5, {0, 1, 2}, 2)
+
+
+@pytest.mark.parametrize(
+    "paths, ok",
+    [
+        (((0, 2, 4), (1, 3, 5)), True),
+        (((0, 2, 4), (1, 2, 5)), False),  # two paths share a vertex
+        (((0, 2, 3, 2, 4),), False),  # a path repeats a vertex
+        (((2, 4), (1, 3, 5)), False),  # starts outside the sources
+        (((0, 2), (1, 3, 5)), False),  # ends outside the sinks
+        (((0, 1, 3, 5),), False),  # passes through a source
+        (((0, 4, 5),), False),  # passes through a sink
+        (((0, 3, 4),), False),  # 0-3 is not an edge
+    ],
+)
+def test_path_system_check(paths, ok):
+    g = Graph(range(6), [(u, v) for u, v in complete_graph(range(6)).edges() if (u, v) != (0, 3)])
+    adj = {v: g.adj_mask(v) for v in g.vertices()}
+    assert cyclelink.connectivity._is_path_system(adj, 0b11, 0b110000, paths) == ok
+
+
+def test_menger_rechecks_its_paths(monkeypatch):
+    real = cyclelink.connectivity._residual_bfs
+
+    def jump(*args):
+        pred, end, entries, exits = real(*args)
+        pred[2 * 3] = 2 * 0 + 1  # vertex 0's exit leads straight into 3
+        return pred, end, entries, exits
+
+    c6 = cycle_graph(list(range(6)))
+    assert menger(c6, {0}, {3}, 1).paths == ((0, 1, 2, 3),)
+    monkeypatch.setattr(cyclelink.connectivity, "_residual_bfs", jump)
+    with pytest.raises(CertificateError):
+        menger(c6, {0}, {3}, 1)
 
 
 def test_massed_agrees_with_bruteforce():

@@ -126,7 +126,7 @@ def test_generate_bigger_components():
 
 def test_generate_multiple_components():
     # generate() itself runs the exhaustive "no" proof and raises
-    # GenerationError if the canonical order has a model
+    # CertificateError if the canonical order has a model
     g, roots = generate([(1, 3), (3, 4), (5, 3)])
     assert recognize(g, roots) is not None
 

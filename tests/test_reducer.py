@@ -1,8 +1,11 @@
+import json
 import random
 
 import pytest
 
+import cyclelink.minor
 import cyclelink.reducer
+from cyclelink.cli import EXIT_NO, EXIT_YES, main
 from cyclelink.connectivity import is_massed
 from cyclelink.errors import (
     CertificateError,
@@ -11,11 +14,11 @@ from cyclelink.errors import (
     NotMassedError,
 )
 from cyclelink.extremal import ExtremalCertificate
-from cyclelink.graph import Graph, complete_graph, cycle_graph
+from cyclelink.graph import Graph, bits, complete_graph, cycle_graph
 from cyclelink.harness import random_graph
 from cyclelink.io6 import to_graph6
 from cyclelink.minor import MinorModel, ModelCheck, find_rooted_cycle_minor, verify_model
-from cyclelink.reducer import ReductionTrace, solve
+from cyclelink.reducer import solve
 
 
 # --- solve ---------------------------------------------------------------
@@ -23,20 +26,16 @@ from cyclelink.reducer import ReductionTrace, solve
 
 def test_solve_dense_graph_returns_model():
     k8 = complete_graph(list(range(8)))
-    trace = ReductionTrace()
-    result = solve(k8, (0, 1, 2, 3, 4), trace)
+    result = solve(k8, (0, 1, 2, 3, 4))
     assert isinstance(result, MinorModel)
     assert verify_model(k8, (0, 1, 2, 3, 4), result)
-    assert trace.steps == [{"rule": "fallback-search"}]
 
 
 def test_solve_extremal_family(e0, e1, e2):
     for g, roots in (e0, e1, e2):
-        trace = ReductionTrace()
-        result = solve(g, roots, trace)
+        result = solve(g, roots)
         assert isinstance(result, ExtremalCertificate)
         assert result.verify(g)
-        assert any(s.get("rule") == "certificate" for s in trace.steps)
 
 
 def test_solve_rejects_not_massed():
@@ -62,17 +61,16 @@ def test_solve_falsifier_when_gate_is_skipped(monkeypatch):
     # must surface a replayable falsifier artifact
     monkeypatch.setattr(cyclelink.reducer, "is_massed", lambda g, seq, lam: True)
     p5 = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
-    trace = ReductionTrace()
     with pytest.raises(FalsifierError) as exc:
-        solve(p5, (0, 2, 4), trace)
+        solve(p5, (0, 2, 4))
     art = exc.value.artifact
     assert art["order"] == [0, 2, 4] and art["graph6"] == to_graph6(p5)
-    assert [s["rule"] for s in trace.steps] == ["fallback-search", "falsifier"]
 
 
 def test_solve_raises_when_model_fails_recheck(monkeypatch):
+    # the engine checks its model once, and solve passes the failure on
     monkeypatch.setattr(
-        cyclelink.reducer, "verify_model", lambda g, seq, m: ModelCheck(False, "forced")
+        cyclelink.minor, "_check_masks", lambda g, seq, masks: ModelCheck(False, "forced")
     )
     with pytest.raises(CertificateError, match="forced"):
         solve(complete_graph(list(range(8))), (0, 1, 2, 3, 4))
@@ -90,16 +88,14 @@ def test_solve_agrees_with_engine_on_random_massed():
             continue
         seen += 1
         engine = find_rooted_cycle_minor(g, seq)
-        trace = ReductionTrace()
         try:
-            result = solve(g, seq, trace)
+            result = solve(g, seq)
         except FalsifierError:
             assert engine is None
             continue
         if isinstance(result, MinorModel):
             assert result == engine
             assert verify_model(g, seq, result)
-            assert trace.steps == [{"rule": "fallback-search"}]
         else:
             assert engine is None
         if seen >= 40:
@@ -107,9 +103,44 @@ def test_solve_agrees_with_engine_on_random_massed():
     assert seen >= 20
 
 
-def test_trace_records_rule_firings(e1):
-    g, roots = e1
-    trace = ReductionTrace()
-    solve(g, roots, trace)
-    rules = [s["rule"] for s in trace.steps]
-    assert rules == ["fallback-search", "certificate"]
+def test_solve_explain_golden(tmp_path, capsys, monkeypatch, e1):
+    # --explain writes the engine's search, then the rule that decided a
+    # "no"; a not-massed instance stops at the gate and writes nothing
+    p5 = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
+    cases = [
+        (complete_graph(list(range(8))), "0,1,2,3,4", False, EXIT_YES, "model",
+         ['{"rule": "fallback-search"}']),
+        # graph6 relabels e1 to 0..9: roots 0..4, apex pair 5, 6
+        (e1[0], "0,1,2,3,4", False, EXIT_NO, "extremal",
+         ['{"rule": "fallback-search"}',
+          '{"common_root_neighbors": [5, 6], "rule": "certificate"}']),
+        (p5, "0,2,4", True, EXIT_NO, "falsifier",
+         ['{"rule": "fallback-search"}',
+          '{"graph6": "DhC", "order": [0, 2, 4], "rule": "falsifier"}']),
+        (cycle_graph(list(range(5))), "0,1,2,3,4", False, EXIT_NO, "not-massed", []),
+    ]
+    for g, roots, gate_open, code, verdict, lines in cases:
+        path = tmp_path / "g.g6"
+        path.write_text(to_graph6(g) + "\n")
+        with monkeypatch.context() as m:
+            if gate_open:
+                m.setattr(cyclelink.reducer, "is_massed", lambda g, seq, lam: True)
+            assert main(["solve", "--explain", "--roots", roots, str(path)]) == code
+        out = capsys.readouterr()
+        assert json.loads(out.out)["verdict"] == verdict
+        assert out.err.splitlines() == lines
+
+
+def test_apex_pair_is_the_common_root_neighborhood(e0, e1, e2):
+    # --explain reports list(cert.apex_pair) as the roots' common neighbours
+    rng = random.Random(11)
+    for g, roots in (e0, e1, e2):
+        vs = list(g.vertices())
+        for _ in range(3):
+            ids = dict(zip(vs, rng.sample(range(3 * len(vs)), len(vs))))
+            h = Graph(ids.values(), [(ids[u], ids[v]) for u, v in g.edges()])
+            seq = tuple(ids[x] for x in roots)
+            common = h.vertex_mask
+            for x in seq:
+                common &= h.adj_mask(x)
+            assert list(solve(h, seq).apex_pair) == list(bits(common))
