@@ -123,7 +123,7 @@ def find_rooted_cycle_minor(g: Graph, seq) -> MinorModel | None:
 def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] | None:
     """Route demands d..k-1 (X_i to X_{i+1}, cyclically); exhaustive.
 
-    A model exists below a state iff this returns one.  Three prunings
+    A model exists below a state iff this returns one.  Four prunings
     skip only children that cannot succeed, so the first model found is
     the one the unpruned search finds:
 
@@ -142,6 +142,21 @@ def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] |
       Different states never share a child (with the whole path given
       to X_{d+1}, each set is recoverable from the child), so a table
       over whole states across the call would find nothing more.
+    - *Dominated children.*  Below a depth-0 child, the search takes
+      vertices only from ``left`` (``free`` minus the path) and reads X_0
+      and X_1 only through their neighbourhoods in ``out``, the vertices
+      outside X_0 and X_1.  So the child's key is (left, N(X_0) & out,
+      N(X_1) & out), and a child is skipped when an earlier failed child
+      A covers it: each part of A's key contains the child's.  Suppose
+      the skipped child B had a model, and put A's X_0 and X_1 in place
+      of B's.  The result is a model below A: the sets stay disjoint,
+      because B's left lies in A's; A's X_0 touches A's X_1 by
+      construction; and every other edge of the model at B's X_0 or X_1
+      ends in B's out, at a vertex of B's N(X_0) & out or N(X_1) & out,
+      so A's X_0 or X_1 has that edge too.  A has no model, so B has
+      none.  Only depth 0 keeps such a table: at d >= 1 a path search
+      almost never yields two children (it mostly yields none), so the
+      keys would cost without skipping anything.
     - *Fixed demands.*  Routing demand d grows X_{d+1} only, and at d = 0
       also X_0.  Every other open demand i (2..k-2 at d = 0, d+2..k-1 at
       d >= 1) joins two sets the path leaves alone, and its route must
@@ -175,21 +190,43 @@ def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] |
     # route a path from X_i to X_j through free vertices: at d = 0 any
     # prefix of it may join X_i, at d >= 1 all of it joins X_j
     tried = set()
+    failed = []  # keys of the failed children (d = 0 only)
     for path, pmask in _paths_between(g, sets[i], sets[j], free, guards, distinct=d > 0):
         for head in accumulate((1 << v for v in path), or_, initial=0) if d == 0 else (0,):
             if (head, pmask) in tried:
                 continue
             tried.add((head, pmask))
             rest = pmask & ~head
+            left = free & ~pmask
             sets[i] |= head
             sets[j] |= rest
-            if _demands_feasible(g, sets, free & ~pmask, grown):
-                res = _search(g, sets, free & ~pmask, d + 1, k)
-                if res is not None:
-                    return res
+            # dominated children (see the docstring); the key is built
+            # only to compare with, or to record, a failed child
+            key = _child_key(g, sets, left) if failed else None
+            if key is None or not _covered(key, failed):
+                if _demands_feasible(g, sets, left, grown):
+                    res = _search(g, sets, left, d + 1, k)
+                    if res is not None:
+                        return res
+                if d == 0:
+                    failed.append(key or _child_key(g, sets, left))
             sets[i] &= ~head
             sets[j] &= ~rest
     return None
+
+
+def _child_key(g: Graph, sets: list[int], left: int) -> tuple[int, int, int]:
+    """What the search below a depth-0 child reads of X_0 and X_1: the
+    free vertices ``left`` and the neighbourhoods of X_0 and X_1 outside
+    both sets."""
+    x0, x1 = sets[0], sets[1]
+    return left, g.nbr_mask(x0) & ~x1, g.nbr_mask(x1) & ~x0
+
+
+def _covered(key: tuple[int, int, int], keys: list[tuple[int, int, int]]) -> bool:
+    """Some key in ``keys`` contains ``key`` part by part."""
+    left, n0, n1 = key
+    return any(not (left & ~a or n0 & ~b or n1 & ~c) for a, b, c in keys)
 
 
 def _paths_between(

@@ -131,11 +131,18 @@ def test_generate_multiple_components():
     assert recognize(g, roots) is not None
 
 
-@pytest.mark.parametrize("spec", [[(1, 3), (2, 3), (3, 3), (4, 4)], [(1, 4), (3, 4), (5, 5)]])
-def test_generate_twenty_vertex_members(spec):
-    # the "no" proof inside generate() is the cost here
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [(1, 3), (2, 3), (3, 3), (4, 4)],
+        [(1, 4), (3, 4), (5, 5)],
+        [(1, 4), (2, 4), (3, 4), (4, 4), (5, 3)],
+    ],
+)
+def test_generate_20_to_26_vertex_members(spec):
+    # the "no" proof inside generate() is the cost here: n = 20, 20, 26
     g, roots = generate(spec)
-    assert g.n == 20
+    assert g.n == 7 + sum(size for _, size in spec)
     assert recognize(g, roots) is not None
 
 

@@ -1,16 +1,21 @@
 import hashlib
 import json
 import random
+from itertools import accumulate
+from operator import or_
 
 import pytest
 
+from cyclelink import minor
 from cyclelink._oracle import naive_rooted_cycle_minor
 from cyclelink.errors import GraphError, UnsupportedError
-from cyclelink.graph import Graph, complete_graph, cycle_graph, path_graph
+from cyclelink.extremal import generate
+from cyclelink.graph import Graph, bits, complete_graph, cycle_graph, path_graph
 from cyclelink.harness import random_graph
 from cyclelink.minor import (
     MinorModel,
     _paths_between,
+    _search,
     canonical_cyclic_orders,
     find_rooted_cycle_minor,
     is_cycle_linked,
@@ -282,6 +287,47 @@ def test_path_guards_drop_exactly_the_unroutable_paths():
     assert kept > 100 and dropped > 100
 
 
+def _outside_nbrs(g, xm, out):
+    nm = 0
+    for v in bits(xm):
+        nm |= g.adj_mask(v)
+    return nm & out
+
+
+def test_depth0_dominance_lemma():
+    # the exchange argument behind skipping dominated depth-0 children,
+    # checked by searching below every child: when an earlier child's key
+    # (left, N(X_0) & out, N(X_1) & out) contains a later child's part by
+    # part, a model below the later child means a model below the earlier
+    rng = random.Random(12)
+    covered = both = 0
+    for _ in range(300):
+        n = rng.randint(8, 12)
+        g = random_graph(rng, n, rng.uniform(2.5, 4) / n)
+        k = rng.randint(4, 6)
+        seq = rng.sample(range(n), k)
+        free = g.vertex_mask & ~g.mask(seq)
+        x0, x1 = 1 << seq[0], 1 << seq[1]
+        children = {}  # (head, path set) -> (key, a model exists below)
+        for path, pmask in _paths_between(g, x0, x1, free):
+            for head in accumulate((1 << v for v in path), or_, initial=0):
+                if (head, pmask) in children:
+                    continue
+                sets = [x0 | head, x1 | pmask & ~head] + [1 << r for r in seq[2:]]
+                left = free & ~pmask
+                out = g.vertex_mask & ~(sets[0] | sets[1])
+                key = (left, _outside_nbrs(g, sets[0], out), _outside_nbrs(g, sets[1], out))
+                children[head, pmask] = key, _search(g, sets, left, 1, k) is not None
+        found = list(children.values())
+        for b, (kb, model_b) in enumerate(found):
+            for ka, model_a in found[:b]:
+                if not any(pb & ~pa for pa, pb in zip(ka, kb)):
+                    covered += 1
+                    both += model_b
+                    assert model_a or not model_b, (list(g.edges()), seq, ka, kb)
+    assert covered > 10000 and both > 1000, (covered, both)
+
+
 ENGINE_MODELS_SHA256 = "3becaf145bdae50ce759b0efa248d4e5a551a76b57f4a409e47bf0423fbf0ff9"
 
 
@@ -304,6 +350,29 @@ def test_engine_models_pinned(e2):
     for order in canonical_cyclic_orders(roots):
         record(g, order)
     assert digest.hexdigest() == ENGINE_MODELS_SHA256
+
+
+def test_no_proof_search_nodes_pinned(e2, monkeypatch):
+    # a deterministic work count of the exhaustive "no" proof: _search
+    # calls over every order of the 13-vertex family member and the
+    # canonical order of the 17-vertex one (5,328 and 1,297 before the
+    # dominated depth-0 children were skipped)
+    calls = 0
+    search = minor._search
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    g17, roots17 = generate([(1, 3), (3, 4), (5, 3)])
+    monkeypatch.setattr(minor, "_search", counted)
+    g, roots = e2
+    for order in canonical_cyclic_orders(roots):
+        find_rooted_cycle_minor(g, order)
+    member_orders, calls = calls, 0
+    assert find_rooted_cycle_minor(g17, roots17) is None
+    assert (member_orders, calls) == (160, 25)
 
 
 def test_minimal_certificates():
