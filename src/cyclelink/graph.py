@@ -144,6 +144,38 @@ class Graph:
             frontier = nxt
         return seen
 
+    def path_mask(self, start: int, allowed: int, target: int) -> int:
+        """A shortest ``start``..``target`` path inside ``allowed``, as a
+        mask, or 0 if there is none.
+
+        A layered search from ``start & allowed`` stops at the first layer
+        that meets ``target``, then walks back one vertex per layer (the
+        lowest id each time); the path has one vertex in ``start`` and one
+        in ``target``, a single vertex when the two meet.
+        """
+        adj = self._adj
+        layer = seen = start & allowed
+        layers = []
+        while layer:
+            hit = layer & target
+            if hit:
+                low = hit & -hit
+                path = low
+                for prev in reversed(layers):
+                    step = adj[low.bit_length() - 1] & prev
+                    low = step & -step
+                    path |= low
+                return path
+            layers.append(layer)
+            nxt = 0
+            while layer:
+                low = layer & -layer
+                nxt |= adj[low.bit_length() - 1]
+                layer ^= low
+            layer = nxt & allowed & ~seen
+            seen |= layer
+        return 0
+
     def is_connected_mask(self, xm: int) -> bool:
         if xm == 0:
             return True

@@ -136,6 +136,8 @@ def oracle_sweep(corpus_paths: list[str], ks: list[int], *, limit: int | None = 
     corpus; any disagreement is reported and fails the run."""
     if any(k < 3 for k in ks):
         raise GraphError(f"root counts must be at least 3, got {ks}")
+    if len(set(ks)) != len(ks):
+        raise GraphError(f"root counts must be distinct, got {ks}")
     if limit is not None and limit < 1:
         raise GraphError(f"limit must be at least 1, got {limit}")
     t0 = time.perf_counter()

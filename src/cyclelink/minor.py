@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from operator import or_
 
@@ -164,7 +165,12 @@ def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] |
       Once such a demand cannot be routed, no extension of the path
       passes ``_demands_feasible``, so ``_paths_between`` takes these
       demands as guards and drops the branch there; a child then checks
-      only the demands on the sets that grew (``grown``).
+      only the demands on the sets that grew (``grown``).  Each guard
+      keeps one route (a witness) and is re-routed only when the path
+      takes a vertex of it: a route that avoids the new vertex is still
+      a route, so the guard drops a branch exactly when no route is
+      left, the same branches as re-checking every guard on every
+      vertex.
 
     Every call at depth d >= 1 comes from a parent that has just made
     demands d..k-1 feasible for these very sets and free set: it checked
@@ -243,61 +249,84 @@ def _paths_between(
     Each interior is ordered (possibly long); direct edges are the
     caller's fast path and never reach here.  Deterministic: vertices
     explored in ascending id.  The depth-first search keeps an explicit
-    stack (one iterator per depth), so a long path cannot hit the
-    recursion limit; ``left`` is ``free`` minus the current path.
+    stack (one mask of unexplored neighbours per depth, lowest id taken
+    first), so a long path cannot hit the recursion limit; ``left`` is
+    ``free`` minus the current path.
 
     ``guards`` are (source, target) masks of demands the path must leave
     routable: a path is yielded or extended only while, for each guard,
-    the part of ``left`` reachable from ``source`` meets ``target``.
-    ``left`` only shrinks as the path grows, so a guard that fails stays
-    failed on every extension, and the search drops that branch whole;
-    the paths that are yielded come in the same order as without guards.
-    Each guard's region is kept per depth and recomputed only when the
-    new vertex lies in it (outside it, the region is unchanged).
+    some route inside ``left`` joins ``source`` to ``target``.  ``left``
+    only shrinks as the path grows, so a guard that fails stays failed on
+    every extension, and the search drops that branch whole; the paths
+    that are yielded come in the same order as without guards.  Each
+    guard keeps a *witness*, one shortest route, per depth.  When the
+    path takes v, only the guards whose witness contains v are re-routed
+    around it: a witness that avoids v is still a route once v is gone,
+    so every other guard still holds, and a guard fails exactly when its
+    re-route finds none.
 
     With ``distinct`` the search never re-enters a (last vertex, path
     set) state it has explored: every path through it has a vertex set
     already yielded, so a caller that reads only the sets skips nothing
     new, and the first path with each set comes in the same order.
     """
-    regions = []
+    witnesses = []
     for src, near in guards:
-        regions.append(g.reach_mask(src & free, free))
-        if not regions[-1] & near:
+        witnesses.append(g.path_mask(src, free, near))
+        if not witnesses[-1]:
             return
     path: list[int] = []
-    frontier = [bits(g.nbr_mask(am) & free)]
-    held = [regions]  # guard regions, one entry per path vertex plus one
+    frontier = [g.nbr_mask(am) & free]
+    # the witnesses and their union, one entry per path vertex plus one
+    held = [(witnesses, reduce(or_, witnesses, 0))]
     left = free
     explored = set()
     while frontier:
-        v = next(frontier[-1], None)
-        if v is None:
+        todo = frontier[-1]
+        if not todo:
             frontier.pop()
             if path:
                 left |= 1 << path.pop()
                 held.pop()
             continue
+        low = todo & -todo
+        frontier[-1] = todo ^ low
+        v = low.bit_length() - 1
         if distinct:
             if (v, left) in explored:
                 continue
             explored.add((v, left))
-        regions = []
-        for (src, near), region in zip(guards, held[-1]):
-            if region >> v & 1:
-                region &= ~(1 << v)
-                region = g.reach_mask(src & region, region)
-                if not region & near:
-                    break
-            regions.append(region)
-        else:
-            path.append(v)
-            held.append(regions)
-            left &= ~(1 << v)
-            nbrs = g.adj_mask(v)
-            if nbrs & bm:
-                yield list(path), free & ~left
-            frontier.append(bits(nbrs & left))
+        rest = left ^ low
+        witnesses, cover = held[-1]
+        if cover & low:
+            witnesses = _reroute(g, guards, witnesses, low, rest)
+            if witnesses is None:
+                continue
+            cover = reduce(or_, witnesses)
+        path.append(v)
+        held.append((witnesses, cover))
+        left = rest
+        nbrs = g.adj_mask(v)
+        if nbrs & bm:
+            yield list(path), free & ~left
+        frontier.append(nbrs & left)
+
+
+def _reroute(
+    g: Graph, guards: Sequence[tuple[int, int]], witnesses: list[int], low: int, left: int
+) -> list[int] | None:
+    """The guards' witnesses once the path takes the vertex ``low`` (a
+    one-bit mask): a witness through it is replaced by a shortest route
+    inside ``left``, the free vertices without it.  None when some guard
+    has no route left."""
+    kept = []
+    for (src, near), w in zip(guards, witnesses):
+        if w & low:
+            w = g.path_mask(src, left, near)
+            if not w:
+                return None
+        kept.append(w)
+    return kept
 
 
 def _demands_feasible(g: Graph, sets: list[int], free: int, demands) -> bool:
@@ -305,14 +334,14 @@ def _demands_feasible(g: Graph, sets: list[int], free: int, demands) -> bool:
     cyclically) must still be routable through free.
 
     X_i and X_j are disjoint, so X_i touches X_j iff it meets N(X_j),
-    and a route exists iff the free region reached from N(X_i) does.
+    and a route exists iff some path inside free joins N(X_i) to N(X_j).
     """
     k = len(sets)
     for i in demands:
         near = g.nbr_mask(sets[(i + 1) % k])
         if sets[i] & near:
             continue
-        if not g.reach_mask(g.nbr_mask(sets[i]) & free, free) & near:
+        if not g.path_mask(g.nbr_mask(sets[i]), free, near):
             return False
     return True
 

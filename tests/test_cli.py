@@ -133,6 +133,7 @@ def test_gen_extremal_rejects_bad_spec(capsys):
         ["verify-theorem", "--connectivity", "0", "--n-range", "3:4", "--graphs", "1",
          "--subsets", "1", "--k", "3", "--seed", "1"],
         ["oracle-sweep", "--k", "7", "--corpus", "{corpus}"],
+        ["oracle-sweep", "--k", "3,3", "--corpus", "{corpus}"],
     ],
 )
 def test_malformed_values_are_input_errors(argv, tmp_path, capsys, corpus_path):

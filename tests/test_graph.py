@@ -111,3 +111,52 @@ def test_rho_counts_edges_touching_mask():
     for t in range(300):
         g, xm = _graph_and_mask(rng, t)
         assert g.rho(xm) == sum(xm >> u & 1 | xm >> v & 1 for u, v in g.edges())
+
+
+def _distance(g, start, allowed, target):
+    """Edges on a shortest start..target walk inside allowed, or None."""
+    dist = {v: 0 for v in bits(start & allowed)}
+    queue = list(dist)
+    for u in queue:
+        if target >> u & 1:
+            return dist[u]
+        for w in bits(g.adj_mask(u) & allowed):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return None
+
+
+def test_path_mask_is_a_shortest_path():
+    rng = random.Random(17)
+    routed = 0
+    for t in range(400):
+        g, allowed = _graph_and_mask(rng, t)
+        ids = g.vertices()
+        start, target = (g.mask(rng.sample(ids, min(len(ids), rng.randint(0, 3))))
+                         for _ in range(2))
+        got = g.path_mask(start, allowed, target)
+        if not g.reach_mask(start & allowed, allowed) & target:
+            assert got == 0
+            continue
+        routed += 1
+        assert got and not got & ~allowed
+        assert g.is_connected_mask(got)
+        degrees = [(g.adj_mask(v) & got).bit_count() for v in bits(got)]
+        assert sum(degrees) == 2 * (got.bit_count() - 1) and max(degrees) <= 2
+        ends = [v for v, d in zip(bits(got), degrees) if d < 2]
+        assert (got & start).bit_count() == (got & target).bit_count() == 1
+        assert {got & start, got & target} == {1 << v for v in ends}
+        assert got.bit_count() == _distance(g, start, allowed, target) + 1
+    assert routed > 100
+
+
+def test_path_mask_empty_cases():
+    g = path_graph([1, 2, 3, 4])
+    every = g.vertex_mask
+    assert g.path_mask(0, every, every) == 0
+    assert g.path_mask(every, 0, every) == 0
+    assert g.path_mask(every, every, 0) == 0
+    assert g.path_mask(g.mask([1]), g.mask([1, 2, 4]), g.mask([4])) == 0
+    assert g.path_mask(g.mask([1, 2]), every, g.mask([2, 3])) == g.mask([2])
+    assert g.path_mask(g.mask([1]), every, g.mask([4])) == every

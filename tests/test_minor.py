@@ -375,6 +375,28 @@ def test_no_proof_search_nodes_pinned(e2, monkeypatch):
     assert (member_orders, calls) == (160, 25)
 
 
+def test_no_proof_guard_routes_pinned(e2, monkeypatch):
+    # a deterministic work count of the path guards: Graph.path_mask calls
+    # over the same orders as above (the guards' regions took 8,244 and
+    # 8,454 reach_mask calls before they kept one witness route each;
+    # 10,222 and 16,914 counting each member's generate self-check)
+    calls = 0
+    path_mask = Graph.path_mask
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return path_mask(*args)
+
+    g17, roots17 = generate([(1, 3), (3, 4), (5, 3)])
+    monkeypatch.setattr(Graph, "path_mask", counted)
+    g, roots = e2
+    for order in canonical_cyclic_orders(roots):
+        find_rooted_cycle_minor(g, order)
+    member_orders, calls = calls, 0
+    assert find_rooted_cycle_minor(g17, roots17) is None
+    assert (member_orders, calls) == (3052, 2884)
+
 def test_minimal_certificates():
     k7 = complete_graph(list(range(7)))
     m = find_rooted_cycle_minor(k7, (0, 1, 2, 3, 4))
