@@ -26,7 +26,7 @@ from .errors import (
     NotMassedError,
 )
 from .extremal import APEX_PAIR, generate
-from .io6 import load_graph, to_graph6
+from .io6 import graph6_ids, load_graph, to_graph6
 from .minor import MinorModel, find_rooted_cycle_minor, is_cycle_linked
 from .reducer import solve
 
@@ -116,7 +116,8 @@ def cmd_gen_extremal(args) -> int:
             except ValueError:
                 raise GenerationError(f"expected index:size, got {part!r}") from None
     g, roots = generate(spec)
-    sidecar = {"roots": list(roots), "apex_pair": list(APEX_PAIR), "graph6": to_graph6(g)}
+    sidecar = {"roots": graph6_ids(g, roots), "apex_pair": graph6_ids(g, APEX_PAIR),
+               "graph6": to_graph6(g)}
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(to_graph6(g) + "\n")

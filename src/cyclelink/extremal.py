@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, GenerationError, GraphError
 from .graph import Graph, bits
-from .minor import _validate_roots, find_rooted_cycle_minor
+from .minor import find_rooted_cycle_minor
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class ExtremalCertificate:
 
     def verify(self, g: Graph) -> bool:
         """Re-check every certificate invariant against the host graph; a
-        malformed certificate (unknown ids, an index outside 0..4) fails."""
+        malformed certificate (unknown or repeated ids, an index outside
+        0..4) fails."""
         xs = self.roots
         if len(xs) != 5 or len(self.apex_pair) != 2:
             return False
@@ -47,7 +48,7 @@ class ExtremalCertificate:
             comps = [g.mask(c) for c, _ in self.components]
         except GraphError:
             return False
-        if xm.bit_count() != 5 or xm & apex or not g.adj_mask(a) >> b & 1:
+        if xm & apex or not g.adj_mask(a) >> b & 1:
             return False
         for i in range(5):
             nbrs = g.adj_mask(xs[i])
@@ -79,7 +80,7 @@ def recognize(g: Graph, seq) -> ExtremalCertificate | None:
     xs = tuple(seq)
     if len(xs) != 5:
         raise GraphError(f"recognizer needs exactly 5 roots, got {len(xs)}")
-    xm = _validate_roots(g, xs)
+    xm = g.mask(xs)
     rest = g.vertex_mask & ~xm
     if g.rho(rest) != 5 * rest.bit_count() + 1:
         return None

@@ -4,7 +4,8 @@ Adjacency is kept as one Python int bitmask per vertex (bit position =
 vertex id), which makes neighborhood intersections, unions, and the
 counting primitives single big-int operations.  Graphs are immutable
 after construction.  Vertex sets are passed as masks; ``mask`` turns
-vertex ids into one and is the one check that every id is known.
+vertex ids into one and is the one check that ids are known and
+distinct.
 """
 
 from __future__ import annotations
@@ -85,12 +86,15 @@ class Graph:
         return self._adj[v]
 
     def mask(self, vertices: Iterable[int]) -> int:
-        """Bitmask of ``vertices``; raises GraphError on an unknown id."""
+        """Bitmask of ``vertices``; raises GraphError on an unknown or a
+        repeated id."""
         adj = self._adj
         m = 0
         for v in vertices:
             if v not in adj:
                 raise GraphError(f"unknown vertex id {v}")
+            if m >> v & 1:
+                raise GraphError(f"repeated vertex id {v}")
             m |= 1 << v
         return m
 

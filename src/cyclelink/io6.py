@@ -101,6 +101,12 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def graph6_ids(g: Graph, ids) -> list[int]:
+    """The ids that the vertices ``ids`` of ``g`` take in ``to_graph6(g)``,
+    which relabels the vertices 0..n-1 in sorted order."""
+    return [(g.vertex_mask & ((1 << v) - 1)).bit_count() for v in ids]
+
+
 def read_graph6_file(path: str) -> Iterator[Graph]:
     with open(path) as fh:
         for line in fh:

@@ -86,15 +86,8 @@ def _check_masks(g: Graph, seq: tuple[int, ...], masks: list[int]) -> ModelCheck
 
 
 def path_exists(g: Graph, u: int, v: int) -> bool:
-    _validate_roots(g, (u, v))
+    g.mask((u, v))
     return bool(g.reach_mask(1 << u, g.vertex_mask) >> v & 1)
-
-
-def _validate_roots(g: Graph, seq) -> int:
-    """The mask of ``seq``; its ids must be known vertices and distinct."""
-    if (xm := g.mask(seq)).bit_count() != len(seq):
-        raise GraphError(f"roots must be distinct: {seq}")
-    return xm
 
 
 def find_rooted_cycle_minor(g: Graph, seq) -> MinorModel | None:
@@ -109,8 +102,10 @@ def find_rooted_cycle_minor(g: Graph, seq) -> MinorModel | None:
         raise UnsupportedError(f"engine supports at most {ENGINE_LIMIT} roots, got {k}")
     if k < 3:
         raise GraphError("need at least 3 roots; use path_exists for pairs")
-    free = g.vertex_mask & ~_validate_roots(g, seq)
+    free = g.vertex_mask & ~g.mask(seq)
     sets = [1 << r for r in seq]
+    if not _demands_feasible(g, sets, free, range(k)):
+        return None
     found = _search(g, sets, free, 0, k)
     if found is None:
         return None
@@ -172,20 +167,21 @@ def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] |
       left, the same branches as re-checking every guard on every
       vertex.
 
-    Every call at depth d >= 1 comes from a parent that has just made
-    demands d..k-1 feasible for these very sets and free set: it checked
-    the grown demands, and the guards covered the rest.  When X_d already
-    touches X_{d+1}, the state passes on to depth d + 1 unchanged, so its
-    open demands are a subset of those and need no second check; only the
-    root call at d = 0 is unchecked.
+    Every state this is called with has all its open demands routable
+    through ``free``.  A demand i that has no route at some state has
+    none in any state below it: below, X_i and X_{i+1} gain only free
+    vertices connected to them, so if they touched below, the gained
+    vertices would form a route at this state.  So each state is checked
+    once, where it is made: ``find_rooted_cycle_minor`` checks the
+    starting state, a parent checks the demands its child grew, and the
+    path guards cover the rest.  When X_d already touches X_{d+1}, the
+    state passes on to depth d + 1 unchanged.
     """
     if d == k:
         return list(sets)
     i, j = d, (d + 1) % k
     if g.touches(sets[i], sets[j]):
-        if d > 0 or _demands_feasible(g, sets, free, range(1, k)):
-            return _search(g, sets, free, d + 1, k)
-        return None
+        return _search(g, sets, free, d + 1, k)
     # fixed demands (see the docstring) become guards of the path search
     grown = (1, k - 1) if d == 0 else range(d + 1, min(d + 2, k))
     guards = []
@@ -455,8 +451,7 @@ def is_cycle_linked(g: Graph, x) -> CycleLinkReport:
     minor; for |x| in {1, 2} this reduces to path existence.
     """
     xs = sorted(x)
-    _validate_roots(g, xs)
-    if not xs:
+    if not g.mask(xs):
         raise GraphError("root set is empty")
     if len(xs) > ENGINE_LIMIT:
         raise UnsupportedError(f"engine supports at most {ENGINE_LIMIT} roots, got {len(xs)}")

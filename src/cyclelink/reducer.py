@@ -16,8 +16,8 @@ from .connectivity import is_massed
 from .errors import FalsifierError, GraphError, NotMassedError
 from .extremal import recognize
 from .graph import Graph
-from .io6 import to_graph6
-from .minor import _validate_roots, find_rooted_cycle_minor
+from .io6 import graph6_ids, to_graph6
+from .minor import find_rooted_cycle_minor
 
 
 def solve(g: Graph, seq):
@@ -31,7 +31,6 @@ def solve(g: Graph, seq):
     seq = tuple(seq)
     if not 3 <= len(seq) <= 5:
         raise GraphError(f"solver supports 3..5 roots, got {len(seq)}")
-    _validate_roots(g, seq)
     report = is_massed(g, seq, 5)
     if not report:
         raise NotMassedError(report)
@@ -40,5 +39,5 @@ def solve(g: Graph, seq):
         return model
     cert = recognize(g, seq) if len(seq) == 5 else None
     if cert is None:
-        raise FalsifierError({"graph6": to_graph6(g), "order": list(seq)})
+        raise FalsifierError({"graph6": to_graph6(g), "order": graph6_ids(g, seq)})
     return cert

@@ -11,7 +11,7 @@ import cyclelink.minor
 from cyclelink.cli import EXIT_CRASH, EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from cyclelink.extremal import generate, recognize
 from cyclelink.graph import complete_graph, cycle_graph, path_graph
-from cyclelink.io6 import to_graph6
+from cyclelink.io6 import load_graph, to_graph6
 from cyclelink.minor import MinorModel, ModelCheck
 
 
@@ -95,14 +95,15 @@ def test_gen_extremal_writes_sidecar(tmp_path, capsys):
     out = str(tmp_path / "member.g6")
     code, payload, _ = run(capsys, "gen-extremal", "--spec", "1:3", "-o", out)
     assert code == EXIT_YES
-    assert payload["roots"] == [1, 2, 3, 4, 5]
-    g, roots = generate([(1, 3)])
+    g, _ = generate([(1, 3)])
     assert payload["graph6"] == to_graph6(g)
-    assert payload["apex_pair"] == list(recognize(g, roots).apex_pair)
     with open(out) as fh:
         assert fh.read().strip() == payload["graph6"]
     with open(out + ".json") as fh:
         assert json.load(fh) == payload
+    # the sidecar names the vertices of the file, not the generator's ids
+    h = load_graph(out)
+    assert list(recognize(h, payload["roots"]).apex_pair) == payload["apex_pair"]
 
 
 def test_gen_extremal_rejects_bad_spec(capsys):
@@ -134,6 +135,7 @@ def test_gen_extremal_rejects_bad_spec(capsys):
          "--subsets", "1", "--k", "3", "--seed", "1"],
         ["oracle-sweep", "--k", "7", "--corpus", "{corpus}"],
         ["oracle-sweep", "--k", "3,3", "--corpus", "{corpus}"],
+        ["massed", "--lambda", "5", "--roots", "0,0,1", "{graph}"],
     ],
 )
 def test_malformed_values_are_input_errors(argv, tmp_path, capsys, corpus_path):

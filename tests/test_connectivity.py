@@ -58,6 +58,10 @@ def test_menger_argument_validation():
         menger(c4, {0}, {1}, 0)
     with pytest.raises(GraphError):
         menger(c4, {0}, {9}, 1)
+    with pytest.raises(GraphError):
+        menger(c4, [0, 0], {1}, 1)
+    with pytest.raises(GraphError):
+        menger(c4, {0}, [2, 2], 1)
 
 
 def _assert_menger_duality(g, src, snk, k, res):
@@ -97,6 +101,17 @@ def test_menger_duality_random():
         snk = set(rng.sample(range(n), rng.randint(1, 3)))
         k = rng.randint(1, 4)
         _assert_menger_duality(g, src, snk, k, menger(g, src, snk, k))
+
+
+def test_menger_reroutes_through_a_used_vertex():
+    # the first augmentation takes 0-1-2-3; the second enters 2 from 6 and
+    # walks back along that path through the whole of vertex 1, which
+    # leaves its path
+    g = Graph(range(11), [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 2),
+                          (0, 7), (7, 8), (8, 9), (9, 10)])
+    res = menger(g, {0, 4}, {3, 10}, 2)
+    assert res == PathSystem(((0, 7, 8, 9, 10), (4, 5, 6, 2, 3)))
+    _assert_menger_duality(g, {0, 4}, {3, 10}, 2, res)
 
 
 def test_menger_more_shared_terminals_than_k():
@@ -177,6 +192,10 @@ def test_massed_m1_examples():
     assert rep.massed and rep.m1_slack == Fraction(9, 2)
     rep = is_massed(k4, {1}, 2)
     assert not rep.m1_holds
+    with pytest.raises(GraphError):
+        is_massed(k4, set(), 1)
+    with pytest.raises(GraphError):
+        is_massed(k4, [1, 1, 2], 1)
 
 
 def test_massed_extremal_family(e0, e1, e2):

@@ -99,6 +99,9 @@ def test_certificate_verify_rejects_malformed(e1):
     assert not ExtremalCertificate((1, 2, 3, 4, 99), cert.apex_pair, cert.components).verify(g)
     assert not ExtremalCertificate(cert.roots, (6, 99), cert.components).verify(g)
     assert not ExtremalCertificate(cert.roots, (6, 7, 8), cert.components).verify(g)
+    # repeated root and apex ids
+    assert not ExtremalCertificate((1, 2, 3, 4, 1), cert.apex_pair, cert.components).verify(g)
+    assert not ExtremalCertificate(cert.roots, (6, 6), cert.components).verify(g)
     # attachment indices outside 0..4, including one that Python would wrap to 0
     for bad in (5, -5, -1, "0", 0.0):
         assert not ExtremalCertificate(cert.roots, cert.apex_pair, ((comp, bad),)).verify(g)

@@ -12,6 +12,10 @@ def test_simple_invariants():
     assert g.adj_mask(2) >> 1 & 1
     with pytest.raises(GraphError):
         Graph([], [(1, 1)])
+    with pytest.raises(GraphError):
+        Graph([-1])
+    with pytest.raises(GraphError):
+        Graph([], [(0, -1)])
 
 
 def test_duplicate_edges_collapse():
@@ -37,6 +41,8 @@ def test_unknown_vertex_errors():
         g.rho(g.mask({9}))
     with pytest.raises(GraphError):
         g.mask([1, 9])
+    with pytest.raises(GraphError, match="repeated"):
+        g.mask([1, 2, 1])
 
 
 def test_mask_primitives():

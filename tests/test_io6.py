@@ -42,6 +42,9 @@ def test_large_n_size_field():
     s = to_graph6(g)
     assert s.startswith(chr(126))
     assert parse_graph6(s) == g
+    # the reader also takes a small n in the 3-byte and the 6-byte form
+    k2 = Graph(range(2), [(0, 1)])
+    assert parse_graph6("~??A_") == parse_graph6("~~?????A_") == k2
 
 
 def test_malformed_reports_offset():
@@ -54,6 +57,17 @@ def test_malformed_reports_offset():
     with pytest.raises(Graph6Error) as exc:
         parse_graph6("D?" + chr(30))  # data byte below 63
     assert exc.value.offset == 2
+    for line, offset in [
+        ("~??", 3),  # truncated size fields
+        ("~~???", 5),
+        (" ", 0),  # a bad size byte in each form
+        ("~?" + chr(30) + "?", 2),
+        ("~~??" + chr(30) + "???", 4),
+        ("A@", 1),  # n = 2 keeps one bit of its byte; the rest is padding
+    ]:
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(line)
+        assert exc.value.offset == offset, line
 
 
 def test_trailing_bytes_rejected():
@@ -89,3 +103,11 @@ def test_load_graph_sniffs(tmp_path):
     pe = tmp_path / "g.edges"
     pe.write_text("0 1\n1 2\n")
     assert load_graph(str(pe)).m == 2
+    # one token that is not an integer goes to the graph6 reader
+    pe.write_text("D?" + chr(30) + "\n0 1\n")
+    with pytest.raises(Graph6Error) as exc:
+        load_graph(str(pe))
+    assert exc.value.offset == 2
+    # a bare integer is an isolated vertex of an edge list
+    pe.write_text("7\n0 1\n")
+    assert load_graph(str(pe)) == Graph([7], [(0, 1)])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import accumulate
 from operator import or_
 
@@ -89,6 +90,14 @@ def test_verify_model_diagnostics():
         (frozenset({1, 3}), frozenset({2}), frozenset({3}), frozenset({4}), frozenset({5})),
     )
     assert not verify_model(c5, seq, disconnected)
+    reordered = MinorModel((2, 1, 3, 4, 5), good.branch_sets)
+    assert "roots do not match" in verify_model(c5, seq, reordered).reason
+    short = MinorModel(seq, good.branch_sets[:4])
+    assert "expected 5 branch sets" in verify_model(c5, seq, short).reason
+    unknown = MinorModel(seq, (frozenset({1, 99}),) + good.branch_sets[1:])
+    assert "unknown vertices" in verify_model(c5, seq, unknown).reason
+    p5 = path_graph([1, 2, 3, 4, 5])
+    assert "no edge between branch sets 4 and 0" in verify_model(p5, seq, good).reason
 
 
 def test_path_exists():
@@ -128,6 +137,13 @@ def test_cycle_linked_small_sets():
     assert is_cycle_linked(c5, [1, 3]).linked
     two = Graph([], [(1, 2), (3, 4)])
     assert not is_cycle_linked(two, [1, 3]).linked
+    assert is_cycle_linked(c5, [2]).linked
+    with pytest.raises(GraphError):
+        is_cycle_linked(c5, [])
+    with pytest.raises(GraphError):
+        is_cycle_linked(c5, [1, 1, 3])
+    with pytest.raises(UnsupportedError):
+        is_cycle_linked(complete_graph(list(range(9))), range(9))
 
 
 def test_extremal_not_linked_with_failing_canonical(e1):
@@ -352,50 +368,63 @@ def test_engine_models_pinned(e2):
     assert digest.hexdigest() == ENGINE_MODELS_SHA256
 
 
-def test_no_proof_search_nodes_pinned(e2, monkeypatch):
-    # a deterministic work count of the exhaustive "no" proof: _search
-    # calls over every order of the 13-vertex family member and the
-    # canonical order of the 17-vertex one (5,328 and 1,297 before the
-    # dominated depth-0 children were skipped)
-    calls = 0
-    search = minor._search
+def _count_calls(monkeypatch, owner, name, counts):
+    real = getattr(owner, name)
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
-        return search(*args)
+        counts[name] += 1
+        return real(*args)
 
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_no_proof_work_pinned(e2, monkeypatch):
+    # deterministic work counts of the exhaustive "no" proof, over every
+    # order of the 13-vertex family member and the canonical order of the
+    # 17-vertex one: _search calls (5,328 and 1,297 before the dominated
+    # depth-0 children were skipped) and Graph.path_mask calls (8,244 and
+    # 8,454 reach_mask calls before the guards kept one witness route
+    # each; 3,052 and 2,884 before the starting state was checked, which
+    # adds one route per demand, five per order, as the members' roots are
+    # pairwise nonadjacent)
     g17, roots17 = generate([(1, 3), (3, 4), (5, 3)])
-    monkeypatch.setattr(minor, "_search", counted)
+    counts = Counter()
+    _count_calls(monkeypatch, minor, "_search", counts)
+    _count_calls(monkeypatch, Graph, "path_mask", counts)
     g, roots = e2
     for order in canonical_cyclic_orders(roots):
         find_rooted_cycle_minor(g, order)
-    member_orders, calls = calls, 0
+    member = counts.copy()
+    counts.clear()
     assert find_rooted_cycle_minor(g17, roots17) is None
-    assert (member_orders, calls) == (160, 25)
+    work = (member["_search"], counts["_search"], member["path_mask"], counts["path_mask"])
+    assert work == (160, 25, 3112, 2889)
 
 
-def test_no_proof_guard_routes_pinned(e2, monkeypatch):
-    # a deterministic work count of the path guards: Graph.path_mask calls
-    # over the same orders as above (the guards' regions took 8,244 and
-    # 8,454 reach_mask calls before they kept one witness route each;
-    # 10,222 and 16,914 counting each member's generate self-check)
-    calls = 0
-    path_mask = Graph.path_mask
+def _dead_demand_graph(shape, m=8):
+    """A graph on the roots 0..4 and a clique K_m on 5..4+m in which some
+    demand of the order (0, 1, 2, 3, 4) has no route from the start."""
+    clique = list(complete_graph(range(5, 5 + m)).edges())
+    if shape == "apart":  # x0 is joined to the clique and cannot reach x1
+        edges = [(0, c) for c in range(5, 5 + m)] + [(1, 2), (2, 3), (3, 4)]
+    elif shape == "hanging":  # x1 hangs off the clique, x2 only meets x3
+        edges = [(0, c) for c in range(5, 5 + m)] + [(1, 5), (2, 3), (3, 4)]
+    else:  # x0-x1 is an edge, x1 is joined to the clique, x2 only meets x3
+        edges = [(1, c) for c in range(5, 5 + m)] + [(0, 1), (2, 3), (3, 4), (4, 0)]
+    return Graph(range(5 + m), clique + edges)
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return path_mask(*args)
 
-    g17, roots17 = generate([(1, 3), (3, 4), (5, 3)])
-    monkeypatch.setattr(Graph, "path_mask", counted)
-    g, roots = e2
-    for order in canonical_cyclic_orders(roots):
-        find_rooted_cycle_minor(g, order)
-    member_orders, calls = calls, 0
-    assert find_rooted_cycle_minor(g17, roots17) is None
-    assert (member_orders, calls) == (3052, 2884)
+@pytest.mark.parametrize("shape", ["apart", "hanging", "adjacent"])
+def test_dead_demand_ends_before_the_search(shape, monkeypatch):
+    # a search from the start enumerates the clique's paths, a count
+    # exponential in m, before it finds that the dead demand fails every
+    # child; the starting state's check ends the proof with no search
+    g = _dead_demand_graph(shape)
+    counts = Counter()
+    _count_calls(monkeypatch, minor, "_search", counts)
+    assert find_rooted_cycle_minor(g, (0, 1, 2, 3, 4)) is None
+    assert counts["_search"] == 0
+
 
 def test_minimal_certificates():
     k7 = complete_graph(list(range(7)))

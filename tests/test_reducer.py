@@ -67,6 +67,22 @@ def test_solve_falsifier_when_gate_is_skipped(monkeypatch):
     assert art["order"] == [0, 2, 4] and art["graph6"] == to_graph6(p5)
 
 
+def test_falsifier_artifact_replays_on_an_edge_list(tmp_path, capsys, monkeypatch):
+    # the artifact's order names the vertices of its graph6 string, which
+    # relabels the ids 10..14 of the input to 0..4
+    monkeypatch.setattr(cyclelink.reducer, "is_massed", lambda g, seq, lam: True)
+    path = tmp_path / "p5.edges"
+    path.write_text("10 11\n11 12\n12 13\n13 14\n")
+    assert main(["solve", "--roots", "10,12,14", str(path)]) == EXIT_NO
+    art = json.loads(capsys.readouterr().out)["artifact"]
+    assert art["order"] == [0, 2, 4]
+    replay = tmp_path / "falsifier.g6"
+    replay.write_text(art["graph6"] + "\n")
+    order = ",".join(map(str, art["order"]))
+    assert main(["check", "--order", order, str(replay)]) == EXIT_NO
+    assert json.loads(capsys.readouterr().out)["verdict"] == "no-model"
+
+
 def test_solve_raises_when_model_fails_recheck(monkeypatch):
     # the engine checks its model once, and solve passes the failure on
     monkeypatch.setattr(
