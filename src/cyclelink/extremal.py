@@ -48,7 +48,7 @@ class ExtremalCertificate:
             comps = [g.mask(c) for c, _ in self.components]
         except GraphError:
             return False
-        if xm & apex or not g.adj_mask(a) >> b & 1:
+        if not g.adj_mask(a) >> b & 1:
             return False
         for i in range(5):
             nbrs = g.adj_mask(xs[i])

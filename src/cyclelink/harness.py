@@ -13,10 +13,10 @@ import time
 
 from ._oracle import naive_rooted_cycle_minor
 from .connectivity import PathSystem, menger
-from .errors import CyclelinkError, GraphError
+from .errors import CyclelinkError, GraphError, UnsupportedError
 from .graph import Graph, bits
 from .io6 import read_graph6_file, to_graph6
-from .minor import canonical_cyclic_orders, find_rooted_cycle_minor
+from .minor import ENGINE_LIMIT, canonical_cyclic_orders, find_rooted_cycle_minor
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -100,6 +100,8 @@ def verify_theorem(
         raise GraphError(f"empty size range {n_low}:{n_high}")
     if not 3 <= k <= n_low:
         raise GraphError(f"need 3 <= k <= {n_low} (the smallest n), got k = {k}")
+    if k > ENGINE_LIMIT:
+        raise UnsupportedError(f"engine supports at most {ENGINE_LIMIT} roots, got {k}")
     if graphs < 1 or subsets < 1:
         # zero instances would report a vacuous pass
         raise GraphError(f"need at least one graph and one subset, got {graphs} and {subsets}")
@@ -136,6 +138,8 @@ def oracle_sweep(corpus_paths: list[str], ks: list[int], *, limit: int | None = 
     corpus; any disagreement is reported and fails the run."""
     if any(k < 3 for k in ks):
         raise GraphError(f"root counts must be at least 3, got {ks}")
+    if any(k > ENGINE_LIMIT for k in ks):
+        raise UnsupportedError(f"engine supports at most {ENGINE_LIMIT} roots, got {ks}")
     if len(set(ks)) != len(ks):
         raise GraphError(f"root counts must be distinct, got {ks}")
     if limit is not None and limit < 1:

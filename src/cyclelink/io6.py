@@ -145,16 +145,25 @@ def load_graph(path: str) -> Graph:
 
     A first line that could not belong to an edge list (no whitespace, not
     a bare integer, no comment marker) is committed to the graph6 reader,
-    so malformed graph6 keeps its byte-offset diagnostics.
+    so malformed graph6 keeps its byte-offset diagnostics.  A graph6 file
+    holds one graph: any further nonempty line is refused.
     """
     with open(path) as fh:
         text = fh.read()
-    first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    first = lines[0] if lines else ""
     if first.startswith(HEADER):
-        return parse_graph6(first)
+        return _only_graph6(lines)
     if first and not first.startswith("#") and len(first.split()) == 1:
         try:
             int(first)
         except ValueError:
-            return parse_graph6(first)
+            return _only_graph6(lines)
     return parse_edge_list(text)
+
+
+def _only_graph6(lines: list[str]) -> Graph:
+    g = parse_graph6(lines[0])
+    if len(lines) > 1:
+        raise Graph6Error("a graph6 file must hold one graph; found another nonempty line")
+    return g

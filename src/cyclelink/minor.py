@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
 from operator import or_
 
 from .errors import CertificateError, GraphError, UnsupportedError
@@ -193,8 +192,9 @@ def _search(g: Graph, sets: list[int], free: int, d: int, k: int) -> list[int] |
     # prefix of it may join X_i, at d >= 1 all of it joins X_j
     tried = set()
     failed = []  # keys of the failed children (d = 0 only)
-    for path, pmask in _paths_between(g, sets[i], sets[j], free, guards, distinct=d > 0):
-        for head in accumulate((1 << v for v in path), or_, initial=0) if d == 0 else (0,):
+    for heads in _paths_between(g, sets[i], sets[j], free, guards, distinct=d > 0):
+        pmask = heads[-1]
+        for head in (0, *heads) if d == 0 else (0,):
             if (head, pmask) in tried:
                 continue
             tried.add((head, pmask))
@@ -239,15 +239,17 @@ def _paths_between(
     guards: Sequence[tuple[int, int]] = (),
     distinct: bool = False,
 ):
-    """Yield (interior, vertex mask) of simple a-set..b-set paths through
-    free vertices.
+    """Yield the simple a-set..b-set paths through free vertices, each as
+    its list of prefix masks: the i-th mask holds the path's first i + 1
+    vertices, and the last is the path's vertex set.
 
-    Each interior is ordered (possibly long); direct edges are the
-    caller's fast path and never reach here.  Deterministic: vertices
-    explored in ascending id.  The depth-first search keeps an explicit
-    stack (one mask of unexplored neighbours per depth, lowest id taken
-    first), so a long path cannot hit the recursion limit; ``left`` is
-    ``free`` minus the current path.
+    Paths may be long; direct edges are the caller's fast path and never
+    reach here.  Deterministic: vertices explored in ascending id.  The
+    depth-first search keeps one explicit stack, so a long path cannot
+    hit the recursion limit.  It holds one frame for the a-set and one
+    per path vertex: the vertex's unexplored neighbours (lowest id taken
+    first), the path mask up to it, and the guards' witnesses.  ``left``
+    is ``free`` minus the current path.
 
     ``guards`` are (source, target) masks of demands the path must leave
     routable: a path is yielded or extended only while, for each guard,
@@ -255,7 +257,7 @@ def _paths_between(
     only shrinks as the path grows, so a guard that fails stays failed on
     every extension, and the search drops that branch whole; the paths
     that are yielded come in the same order as without guards.  Each
-    guard keeps a *witness*, one shortest route, per depth.  When the
+    guard keeps a *witness*, one shortest route, per frame.  When the
     path takes v, only the guards whose witness contains v are re-routed
     around it: a witness that avoids v is still a route once v is gone,
     so every other guard still holds, and a guard fails exactly when its
@@ -271,41 +273,33 @@ def _paths_between(
         witnesses.append(g.path_mask(src, free, near))
         if not witnesses[-1]:
             return
-    path: list[int] = []
-    frontier = [g.nbr_mask(am) & free]
-    # the witnesses and their union, one entry per path vertex plus one
-    held = [(witnesses, reduce(or_, witnesses, 0))]
-    left = free
+    # a frame: [unexplored neighbours, path mask, witnesses, their union]
+    stack = [[g.nbr_mask(am) & free, 0, witnesses, reduce(or_, witnesses, 0)]]
     explored = set()
-    while frontier:
-        todo = frontier[-1]
+    while stack:
+        top = stack[-1]
+        todo = top[0]
         if not todo:
-            frontier.pop()
-            if path:
-                left |= 1 << path.pop()
-                held.pop()
+            stack.pop()
             continue
         low = todo & -todo
-        frontier[-1] = todo ^ low
-        v = low.bit_length() - 1
+        top[0] = todo ^ low
+        pmask = top[1] | low
         if distinct:
-            if (v, left) in explored:
+            if (low, pmask) in explored:
                 continue
-            explored.add((v, left))
-        rest = left ^ low
-        witnesses, cover = held[-1]
+            explored.add((low, pmask))
+        left = free & ~pmask
+        witnesses, cover = top[2], top[3]
         if cover & low:
-            witnesses = _reroute(g, guards, witnesses, low, rest)
+            witnesses = _reroute(g, guards, witnesses, low, left)
             if witnesses is None:
                 continue
             cover = reduce(or_, witnesses)
-        path.append(v)
-        held.append((witnesses, cover))
-        left = rest
-        nbrs = g.adj_mask(v)
+        nbrs = g.adj_mask(low.bit_length() - 1)
+        stack.append([nbrs & left, pmask, witnesses, cover])
         if nbrs & bm:
-            yield list(path), free & ~left
-        frontier.append(nbrs & left)
+            yield [f[1] for f in stack[1:]]
 
 
 def _reroute(

@@ -86,6 +86,11 @@ def test_certificate_verify_catches_tampering(e1):
     assert not rotated.verify(g)
     bad_apex = ExtremalCertificate(cert.roots, (1, 2), cert.components)
     assert not bad_apex.verify(g)
+    # an adjacent apex pair that holds a root: x1 is not its own neighbour
+    x1, a = cert.roots[0], cert.apex_pair[0]
+    assert g.adj_mask(x1) >> a & 1
+    assert not ExtremalCertificate(cert.roots, (x1, a), cert.components).verify(g)
+    assert not ExtremalCertificate(cert.roots, (a, x1), cert.components).verify(g)
     bad_comp = ExtremalCertificate(cert.roots, cert.apex_pair, ())
     assert not bad_comp.verify(g)
 

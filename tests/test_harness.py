@@ -5,7 +5,7 @@ import pytest
 
 import cyclelink.harness
 from cyclelink.connectivity import menger
-from cyclelink.errors import CyclelinkError
+from cyclelink.errors import CyclelinkError, UnsupportedError
 from cyclelink.harness import (
     is_k_connected,
     oracle_sweep,
@@ -14,6 +14,7 @@ from cyclelink.harness import (
     verify_theorem,
 )
 from cyclelink.graph import Graph, complete_graph, cycle_graph, path_graph
+from cyclelink.minor import ENGINE_LIMIT
 
 
 def test_is_k_connected_basics():
@@ -141,3 +142,24 @@ def test_random_graph_seeded():
     g1 = random_graph(random.Random(42), 8, 0.5)
     g2 = random_graph(random.Random(42), 8, 0.5)
     assert g1 == g2
+
+
+def test_root_counts_above_the_engine_limit_are_refused_up_front(monkeypatch, corpus_path):
+    # refused where the count enters, before any graph is sampled or read
+    def never(*args, **kwargs):
+        raise AssertionError("the root count was not checked first")
+
+    monkeypatch.setattr(cyclelink.harness, "sample_k_connected", never)
+    monkeypatch.setattr(cyclelink.harness, "read_graph6_file", never)
+    k = ENGINE_LIMIT + 1
+    with pytest.raises(UnsupportedError):
+        verify_theorem(
+            connectivity=10, n_low=30, n_high=34, graphs=50, subsets=1, seed=1, k=k
+        )
+    with pytest.raises(UnsupportedError):
+        oracle_sweep([corpus_path], [3, k])
+    # the limit itself is still accepted
+    with pytest.raises(AssertionError):
+        verify_theorem(
+            connectivity=10, n_low=30, n_high=34, graphs=50, subsets=1, seed=1, k=ENGINE_LIMIT
+        )

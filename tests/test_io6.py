@@ -111,3 +111,12 @@ def test_load_graph_sniffs(tmp_path):
     # a bare integer is an isolated vertex of an edge list
     pe.write_text("7\n0 1\n")
     assert load_graph(str(pe)) == Graph([7], [(0, 1)])
+    # a graph6 file holds one graph: trailing blank lines are fine, and any
+    # other nonempty line is refused
+    p6.write_text(to_graph6(g) + "\n\n  \n")
+    assert load_graph(str(p6)) == g
+    for extra in ("garbage here", to_graph6(complete_graph(list(range(4)))), "0 1"):
+        for first in (to_graph6(g), ">>graph6<<" + to_graph6(g)):
+            p6.write_text(first + "\n\n" + extra + "\n")
+            with pytest.raises(Graph6Error):
+                load_graph(str(p6))

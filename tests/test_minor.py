@@ -2,8 +2,6 @@ import hashlib
 import json
 import random
 from collections import Counter
-from itertools import accumulate
-from operator import or_
 
 import pytest
 
@@ -273,6 +271,53 @@ def test_oracle_agreement_on_connected_7_vertex_graphs():
     assert answers == {True, False}
 
 
+def _reference_paths(g, a_set, b_set, free):
+    """Every simple path inside ``free`` from a neighbour of ``a_set`` to a
+    vertex adjacent to ``b_set``, lowest id first, as its prefix masks."""
+    adj = {v: set() for v in g.vertices()}
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    out = []
+
+    def extend(path, nbrs):
+        for v in sorted(nbrs & free - set(path)):
+            path.append(v)
+            if adj[v] & b_set:
+                out.append([sum(1 << u for u in path[: i + 1]) for i in range(len(path))])
+            extend(path, adj[v])
+            path.pop()
+
+    extend([], set().union(*(adj[x] for x in a_set)))
+    return out
+
+
+def _first_sets(paths):
+    return list(dict.fromkeys(heads[-1] for heads in paths))
+
+
+def test_paths_between_matches_a_reference_enumeration():
+    # unguarded, the search yields exactly the reference's paths in order;
+    # with ``distinct`` it yields some of them, and their vertex sets come
+    # in the same first-appearance order
+    rng = random.Random(13)
+    total = 0
+    for _ in range(300):
+        n = rng.randint(6, 11)
+        g = random_graph(rng, n, rng.uniform(2, 5) / n)
+        vs = rng.sample(range(n), n)
+        na, nb = rng.randint(1, 2), rng.randint(1, 2)
+        a_set, b_set, free = set(vs[:na]), set(vs[na : na + nb]), set(vs[na + nb :])
+        args = g, g.mask(a_set), g.mask(b_set), g.mask(free)
+        want = _reference_paths(g, a_set, b_set, free)
+        assert list(_paths_between(*args)) == want, (list(g.edges()), a_set, b_set)
+        got = list(_paths_between(*args, distinct=True))
+        assert all(heads in want for heads in got)
+        assert _first_sets(got) == _first_sets(want), (list(g.edges()), a_set, b_set)
+        total += len(want)
+    assert total > 10000, total
+
+
 def _routes(g, guards, left):
     return all(g.reach_mask(src & left, left) & near for src, near in guards)
 
@@ -295,7 +340,7 @@ def test_path_guards_drop_exactly_the_unroutable_paths():
         free = sum(1 << v for v in rest)
         for distinct in (False, True):
             plain = list(_paths_between(g, 1 << a, 1 << b, free, distinct=distinct))
-            want = [(p, pm) for p, pm in plain if _routes(g, guards, free & ~pm)]
+            want = [heads for heads in plain if _routes(g, guards, free & ~heads[-1])]
             got = list(_paths_between(g, 1 << a, 1 << b, free, guards, distinct))
             assert got == want, (list(g.edges()), a, b, guards, free, distinct)
             kept += len(got)
@@ -325,8 +370,9 @@ def test_depth0_dominance_lemma():
         free = g.vertex_mask & ~g.mask(seq)
         x0, x1 = 1 << seq[0], 1 << seq[1]
         children = {}  # (head, path set) -> (key, a model exists below)
-        for path, pmask in _paths_between(g, x0, x1, free):
-            for head in accumulate((1 << v for v in path), or_, initial=0):
+        for heads in _paths_between(g, x0, x1, free):
+            pmask = heads[-1]
+            for head in (0, *heads):
                 if (head, pmask) in children:
                     continue
                 sets = [x0 | head, x1 | pmask & ~head] + [1 << r for r in seq[2:]]
